@@ -1,6 +1,6 @@
 """Benchmarks for the Section 4.6 / 5.1 extension machinery:
-pruned search, Monte-Carlo estimation, multi-path combination, path-weight
-learning, and the neighbour-set baselines."""
+the degradation ladder's prune rung, Monte-Carlo estimation, multi-path
+combination, path-weight learning, and the neighbour-set baselines."""
 
 from __future__ import annotations
 
@@ -12,29 +12,34 @@ from repro.baselines.neighborhood import (
     scan_similarity_matrix,
 )
 from repro.core.approx import monte_carlo_hetesim
-from repro.core.multipath import MultiPathHeteSim
+from repro.core.measures import get_measure
 from repro.core.pathlearn import learn_path_weights
-from repro.core.pruning import pruned_top_k
+from repro.runtime.resilience import ResilientRuntime, Strategy
+
+
+def _prune_rung(graph, mass):
+    return ResilientRuntime(
+        graph,
+        policy=(Strategy("prune", prune_mass=mass, enforced=False),),
+    )
 
 
 def test_pruned_topk_exact(benchmark, acm):
     graph = acm.graph
     path = graph.schema.path("APVC")
     hub = acm.personas["hub_author"]
-    result = benchmark(pruned_top_k, graph, path, hub, 5)
-    assert result.ranking[0][0] == "KDD"
+    runtime = _prune_rung(graph, 0.0)
+    result = benchmark(runtime.top_k, hub, path, 5)
+    assert result.value[0][0] == "KDD"
 
 
 def test_pruned_topk_with_mass_tolerance(benchmark, acm):
     graph = acm.graph
     path = graph.schema.path("APVC")
     hub = acm.personas["hub_author"]
-
-    def run():
-        return pruned_top_k(graph, path, hub, 5, mass_tolerance=0.05)
-
-    result = benchmark(run)
-    assert result.ranking[0][0] == "KDD"
+    runtime = _prune_rung(graph, 0.05)
+    result = benchmark(runtime.top_k, hub, path, 5)
+    assert result.value[0][0] == "KDD"
 
 
 @pytest.mark.parametrize("walks", [100, 1000])
@@ -53,9 +58,15 @@ def test_monte_carlo_estimate(benchmark, acm, walks):
 
 
 def test_multipath_combination(benchmark, acm, acm_engine):
-    multi = MultiPathHeteSim(acm_engine, {"APVC": 0.7, "APVCVPAPVC": 0.3})
+    combined = get_measure("combined")
     hub = acm.personas["hub_author"]
-    ranking = benchmark(multi.top_k, hub, 5)
+    ranking = benchmark(
+        combined.top_k,
+        acm_engine.measures,
+        "APVC=0.7,APVCVPAPVC=0.3",
+        hub,
+        5,
+    )
     assert ranking[0][0] == "KDD"
 
 
@@ -87,13 +98,13 @@ def test_neighborhood_baselines(benchmark, acm, builder):
 
 
 def test_threshold_topk(benchmark, acm):
-    from repro.core.threshold import threshold_top_k
+    from repro.core.search import top_k_targets
 
     graph = acm.graph
     path = graph.schema.path("APVC")
     hub = acm.personas["hub_author"]
-    result = benchmark(threshold_top_k, graph, path, hub, 5)
-    assert result.ranking[0][0] == "KDD"
+    ranking = benchmark(top_k_targets, graph, path, hub, 5)
+    assert ranking[0][0] == "KDD"
 
 
 def test_lowrank_build_and_query(benchmark, acm):

@@ -5,10 +5,12 @@ materialisation, pruning, approximation) and Section 5.1 sketches
 supervised path selection.  This example exercises all four on the
 synthetic ACM network:
 
-1. pruned top-k search with an exactness report;
+1. pruned top-k search on the degradation ladder's prune rung, with
+   its dropped-mass report;
 2. Monte-Carlo estimation vs the exact score;
 3. off-line materialisation to disk and reload;
-4. learning path weights from a handful of labelled pairs.
+4. learning path weights from a handful of labelled pairs and querying
+   them through the ``combined`` measure.
 
 Run:  python examples/advanced_search.py
 """
@@ -20,11 +22,12 @@ from repro import HeteSimEngine
 from repro.core import (
     MatrixStore,
     PathMatrixCache,
+    get_measure,
     learn_path_weights,
     monte_carlo_hetesim,
-    pruned_top_k,
 )
 from repro.datasets import make_acm_network
+from repro.runtime import ResilientRuntime, Strategy
 
 
 def main():
@@ -35,18 +38,17 @@ def main():
     path = engine.path("APVC")
 
     print("1) Pruned top-k search (Section 4.6, item 3)")
-    result = pruned_top_k(graph, path, hub, k=5)
-    print(f"   scored {result.candidates_scored} of "
-          f"{result.candidates_total} conferences "
-          f"(pruning ratio {result.pruning_ratio:.0%}, exact="
-          f"{result.is_exact})")
-    for key, score in result.ranking[:3]:
+    exact = engine.top_k(hub, path, k=5)
+    for key, score in exact[:3]:
         print(f"   {key}: {score:.4f}")
-
-    approx = pruned_top_k(graph, path, hub, k=5, mass_tolerance=0.05)
-    print(f"   with mass tolerance 0.05: dropped "
-          f"{approx.dropped_mass:.4f} forward mass, top-1 still "
-          f"{approx.ranking[0][0]}")
+    prune = ResilientRuntime(
+        engine,
+        policy=(Strategy("prune", prune_mass=0.05, enforced=False),),
+    )
+    approx = prune.top_k(hub, path, k=5)
+    print(f"   prune rung at mass 0.05: dropped "
+          f"{approx.accuracy['dropped_forward_mass']:.4f} forward mass, "
+          f"top-1 still {approx.value[0][0]} (exact {exact[0][0]})")
 
     print("\n2) Monte-Carlo estimate vs exact")
     exact = engine.relevance(hub, "KDD", path)
@@ -82,9 +84,10 @@ def main():
     learned = learn_path_weights(engine, candidates, labeled)
     print(f"   learned weights: {learned.weights} "
           f"(residual {learned.residual:.3f})")
-    measure = learned.as_measure(engine)
-    print(f"   combined score {hub} vs KDD: "
-          f"{measure.relevance(hub, 'KDD'):.4f}")
+    combined = get_measure("combined")
+    score = combined.pair(engine.measures, learned.spec, hub, "KDD")
+    print(f"   combined spec {learned.spec!r}")
+    print(f"   combined score {hub} vs KDD: {score:.4f}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ The full supervised-path workflow (§5.1 option 3) end to end on the
 synthetic ACM network:
 
 1. enumerate every author-conference relevance path up to length 5;
-2. fit non-negative weights from a handful of labelled expert pairs;
+2. fit non-negative weights from a handful of labelled expert pairs and
+   rank with them through the ``combined`` measure;
 3. cross-validate the learned combination;
 4. explain a top score through its contributing middle objects.
 
@@ -12,7 +13,7 @@ Run:  python examples/path_discovery.py
 """
 
 from repro import HeteSimEngine
-from repro.core import learn_path_weights
+from repro.core import get_measure, learn_path_weights
 from repro.datasets import make_acm_network
 from repro.hin import enumerate_paths
 from repro.learning import cross_validate_path_weights
@@ -43,6 +44,12 @@ def main():
     )[:3]
     for code, weight in top_paths:
         print(f"   {code}: weight {weight:.3f}")
+    hub = network.personas["hub_author"]
+    ranking = get_measure("combined").top_k(
+        engine.measures, result.spec, hub, k=3
+    )
+    print(f"   learned combination's top conferences for {hub}: "
+          + ", ".join(f"{key} ({score:.3f})" for key, score in ranking))
 
     print("\n3) Cross-validate the combination")
     cv = cross_validate_path_weights(
@@ -52,7 +59,6 @@ def main():
           f"{cv.mean_auc:.3f}")
 
     print("\n4) Explain the strongest relationship")
-    hub = network.personas["hub_author"]
     for contribution in engine.explain(hub, "KDD", "APVC", k=3):
         paper, venue = contribution.middle
         print(f"   via {paper} published in {venue}: "

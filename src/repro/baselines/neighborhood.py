@@ -22,6 +22,7 @@ from typing import List, Tuple
 import numpy as np
 from scipy import sparse
 
+from ..core.search import select_top_k
 from ..hin.errors import QueryError
 from ..hin.graph import HeteroGraph
 from ..hin.matrices import safe_reciprocal
@@ -123,5 +124,4 @@ def neighborhood_rank(
     index = graph.node_index(type_name, source_key)
     scores = matrix[index]
     keys = graph.node_keys(type_name)
-    order = sorted(range(len(keys)), key=lambda i: (-scores[i], keys[i]))
-    return [(keys[i], float(scores[i])) for i in order]
+    return select_top_k(scores, keys, len(keys))

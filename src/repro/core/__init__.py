@@ -32,17 +32,14 @@ from .hetesim import (
     hetesim_matrix,
     hetesim_pair,
 )
-from .multipath import MultiPathHeteSim
 from .naive import naive_hetesim, naive_hetesim_raw
 from .pathlearn import PathWeightResult, learn_path_weights
 from .plan import PathPlan, optimal_chain_order, plan_path, sparse_chain_schedule
 from .profiles import ObjectProfile, ProfileSection, build_profile
-from .pruning import PrunedSearchResult, pruned_top_k
 from .reachprob import reach_distribution, reach_prob, reach_row
-from .search import rank_targets, top_k_pairs, top_k_pairs_sparse, top_k_targets
+from .search import rank_targets, select_top_k, top_k_pairs, top_k_targets
 from .store import MatrixStore
 from .variants import dice_hetesim_matrix, dice_hetesim_pair
-from .threshold import ThresholdSearchResult, threshold_top_k
 
 __all__ = [
     "CacheStats",
@@ -63,7 +60,6 @@ __all__ = [
     "execute_plan",
     "materialise",
     "MatrixStore",
-    "MultiPathHeteSim",
     "ObjectProfile",
     "PlanStats",
     "ProfileSection",
@@ -71,10 +67,8 @@ __all__ = [
     "PathPlan",
     "PathWeightResult",
     "plan_path",
-    "PrunedSearchResult",
     "sparse_chain_schedule",
     "StepStat",
-    "ThresholdSearchResult",
     "half_reach_matrices",
     "hetesim_all_sources",
     "hetesim_all_targets",
@@ -88,14 +82,12 @@ __all__ = [
     "naive_hetesim",
     "naive_hetesim_raw",
     "optimal_chain_order",
-    "pruned_top_k",
     "rank_targets",
     "reach_distribution",
     "reach_prob",
     "reach_prob_chain",
     "reach_row",
-    "threshold_top_k",
+    "select_top_k",
     "top_k_pairs",
-    "top_k_pairs_sparse",
     "top_k_targets",
 ]

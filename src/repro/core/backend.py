@@ -57,6 +57,7 @@ __all__ = [
     "PlanStats",
     "execute_plan",
     "materialise",
+    "truncating",
     "reach_prob_chain",
 ]
 
@@ -200,6 +201,17 @@ def _materialise_factor(
     if factor.kind == "shared_T":
         return shared_matrix.T.tocsr()
     raise AssertionError(f"unknown factor kind {factor.kind!r}")
+
+
+def truncating() -> bool:
+    """Whether the ambient execution scope truncates plan products.
+
+    Products computed under truncation (a degraded strategy's
+    ``truncate_eps > 0``) are not the exact matrices of any path; the
+    cache and the engine memo consult this before storing anything.
+    """
+    context = current_context()
+    return context is not None and context.truncate_eps > 0.0
 
 
 def execute_plan(

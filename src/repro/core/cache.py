@@ -29,7 +29,7 @@ from ..hin.errors import QueryError
 from ..hin.graph import HeteroGraph
 from ..hin.metapath import MetaPath
 from ..obs.metrics import REGISTRY, instance_label
-from .backend import PlanStats, execute_plan
+from .backend import PlanStats, execute_plan, truncating
 from .plan import plan_path
 
 __all__ = ["CacheStats", "PathMatrixCache"]
@@ -216,24 +216,9 @@ class PathMatrixCache:
                 return cached
             self._misses.inc()
 
-        # Capture the versions BEFORE planning/executing: a mutation
-        # landing mid-plan must leave the entry tagged with the older
-        # signature (and therefore stale), never pair pre-mutation data
-        # with the post-mutation signature.
-        versions = self._versions_before_plan(key)
-        plan = plan_path(
-            self.graph,
-            path,
-            cache=self,
-            seed_prefixes=self.cache_prefixes,
-        )
-        matrix, stats = execute_plan(
-            self.graph,
-            plan,
-            store=self._seeder(versions) if self.cache_prefixes else None,
-        )
-        self._store(key, matrix, tuple(versions[name] for name in key))
-        self._record(stats)
+        matrix, versions = self._planned(path)
+        if not truncating():
+            self._store(key, matrix, tuple(versions[name] for name in key))
         return matrix
 
     def extended_product(
@@ -247,21 +232,36 @@ class PathMatrixCache:
         the cache as usual; the combined product itself is *not* stored
         (it is not the matrix of any meta path).
         """
+        return self._planned(path, extra_right)[0]
+
+    def _planned(
+        self, path: MetaPath, extra_right: Optional[sparse.spmatrix] = None
+    ) -> Tuple[sparse.csr_matrix, Dict[str, int]]:
+        """Plan and execute ``PM_path [@ extra_right]``, seeding prefixes.
+
+        Returns the product and the pre-plan version snapshot its
+        entries are tagged from.  Nothing is seeded while the ambient
+        execution scope truncates: a truncated product is not the
+        matrix of any path, and storing it would serve it to later
+        exact queries.
+        """
+        # Capture the versions BEFORE planning/executing: a mutation
+        # landing mid-plan must leave the entry tagged with the older
+        # signature (and therefore stale), never pair pre-mutation data
+        # with the post-mutation signature.
         versions = self._versions_before_plan(_key(path))
         plan = plan_path(
             self.graph,
             path,
             cache=self,
-            seed_prefixes=self.cache_prefixes,
+            seed_prefixes=self.cache_prefixes and not truncating(),
             extra_right=extra_right,
         )
         matrix, stats = execute_plan(
-            self.graph,
-            plan,
-            store=self._seeder(versions) if self.cache_prefixes else None,
+            self.graph, plan, store=self._seeder(versions)
         )
         self._record(stats)
-        return matrix
+        return matrix, versions
 
     def count_matrix(self, path: MetaPath) -> sparse.csr_matrix:
         """Path-instance counts ``W_P`` (adjacency weights), cached.
@@ -290,9 +290,10 @@ class PathMatrixCache:
         versions = self._versions_before_plan(names)
         plan = plan_path(self.graph, path, weights="adjacency")
         matrix, stats = execute_plan(self.graph, plan)
-        self._store(
-            key, matrix, tuple(versions[name] for name in names)
-        )
+        if not truncating():
+            self._store(
+                key, matrix, tuple(versions[name] for name in names)
+            )
         self._record(stats)
         return matrix
 

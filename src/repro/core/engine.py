@@ -19,45 +19,20 @@ import time
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
-from ..hin.decomposition import decompose_adjacency
 from ..hin.errors import QueryError
 from ..hin.graph import HeteroGraph
-from ..hin.matrices import row_normalize, safe_reciprocal
 from ..hin.metapath import MetaPath, PathSpec
 from ..obs.metrics import REGISTRY, instance_label
 from ..obs.trace import span as trace_span
-from .backend import PlanStats
+from .backend import PlanStats, truncating
 from .cache import CacheStats, PathMatrixCache
+from .hetesim import Halves, normed_halves
+from .measures import MeasureContext, get_measure
 
 __all__ = ["HeteSimEngine"]
 
 _HalfKey = Tuple[str, ...]
-_Halves = Tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarray, np.ndarray]
-
-
-def _pair_score(
-    left: sparse.csr_matrix,
-    right: sparse.csr_matrix,
-    left_norms: np.ndarray,
-    right_norms: np.ndarray,
-    i: int,
-    j: int,
-    normalized: bool,
-) -> float:
-    """Dot-and-normalise of one (source row, target row) pair.
-
-    The single implementation behind :meth:`HeteSimEngine.relevance`
-    and :meth:`HeteSimEngine.relevance_pairs`, so the zero-norm
-    convention (score 0, never NaN) cannot drift between them.
-    """
-    dot = float((left.getrow(i) @ right.getrow(j).T).toarray()[0, 0])
-    if not normalized:
-        return dot
-    if left_norms[i] == 0 or right_norms[j] == 0:
-        return 0.0
-    return dot / (left_norms[i] * right_norms[j])
 
 
 class HeteSimEngine:
@@ -97,7 +72,7 @@ class HeteSimEngine:
         # stale tuple with a fresh signature, which two side-by-side
         # dicts allowed whenever a materialisation landed between the
         # two unlocked reads.
-        self._halves: Dict[_HalfKey, Tuple[Tuple[int, ...], _Halves]] = {}
+        self._halves: Dict[_HalfKey, Tuple[Tuple[int, ...], Halves]] = {}
         # Single-flight materialisation: one lock per half key, so two
         # in-flight queries for the same path share one materialisation
         # (the second blocks, then hits the memo) while distinct paths
@@ -121,23 +96,11 @@ class HeteSimEngine:
             "repro_halves_adoptions_total",
             "Half-matrix tuples adopted from worker processes.",
         ).labels(engine=self.obs_label)
-        self._measure_context = None
-
-    @property
-    def measures(self):
-        """The engine-backed :class:`~repro.core.measures.MeasureContext`.
-
-        Measure plugins resolved against this context share the
-        engine's half-matrix memo and path-matrix cache, so plugin
-        queries and native engine queries reuse each other's work.
-        """
-        if self._measure_context is None:
-            from .measures import MeasureContext
-
-            with self._locks_guard:
-                if self._measure_context is None:
-                    self._measure_context = MeasureContext(engine=self)
-        return self._measure_context
+        #: The engine-backed :class:`~repro.core.measures.MeasureContext`:
+        #: measure plugins resolved against it share this engine's
+        #: half-matrix memo and path-matrix cache, and the engine's own
+        #: queries score through it.
+        self.measures = MeasureContext(engine=self)
 
     # ------------------------------------------------------------------
     # path handling
@@ -149,7 +112,7 @@ class HeteSimEngine:
     # ------------------------------------------------------------------
     # materialisation
     # ------------------------------------------------------------------
-    def halves(self, path: MetaPath) -> _Halves:
+    def halves(self, path: MetaPath) -> Halves:
         """``(PM_PL, PM_PR^-1, left_row_norms, right_row_norms)``, cached.
 
         Staleness is tracked per relation: mutating one relation only
@@ -162,6 +125,10 @@ class HeteSimEngine:
         sound because the memo holds ``(signature, result)`` as one
         value: the single ``dict.get`` is atomic under the GIL, so the
         signature checked always belongs to the tuple returned.
+
+        Halves computed while the ambient execution scope truncates
+        (``truncate_eps > 0``, a degraded rung) are returned but never
+        memoised, so they cannot be served to a later exact query.
         """
         key = tuple(relation.name for relation in path.relations)
         signature = self.graph.relations_signature(key)
@@ -183,59 +150,23 @@ class HeteSimEngine:
         path: MetaPath,
         key: _HalfKey,
         signature: Tuple[int, ...],
-    ) -> _Halves:
+    ) -> Halves:
         with trace_span(
             "engine.materialise_halves",
             path=path.code(),
             engine=self.obs_label,
         ):
-            result = self._compute_halves(path)
-        self._halves[key] = (signature, result)
+            result = normed_halves(self.graph, path, cache=self.cache)
         self._materialisations.inc()
+        if not truncating():
+            self._halves[key] = (signature, result)
         return result
-
-    def _compute_halves(self, path: MetaPath) -> _Halves:
-        split = path.halves()
-        if not split.needs_edge_object:
-            left = self.cache.reach_prob(split.left)
-            if split.right.reverse() == split.left:
-                # Symmetric path: both walkers share one half matrix.
-                right = left
-            else:
-                right = self.cache.reach_prob(split.right.reverse())
-        else:
-            middle = split.middle_relation
-            w_ae, w_eb = decompose_adjacency(
-                self.graph.adjacency(middle.name)
-            )
-            into_forward = row_normalize(w_ae)
-            into_backward = row_normalize(w_eb.T)
-            if split.left is None:
-                left = into_forward
-            else:
-                left = self.cache.extended_product(
-                    split.left, into_forward
-                )
-            if split.right is None:
-                right = into_backward
-            else:
-                right = self.cache.extended_product(
-                    split.right.reverse(), into_backward
-                )
-
-        left_norms = np.sqrt(
-            np.asarray(left.multiply(left).sum(axis=1))
-        ).ravel()
-        right_norms = np.sqrt(
-            np.asarray(right.multiply(right).sum(axis=1))
-        ).ravel()
-        return (left, right, left_norms, right_norms)
 
     def adopt_halves(
         self,
         key: _HalfKey,
         signature: Tuple[int, ...],
-        halves: _Halves,
+        halves: Halves,
     ) -> None:
         """Install halves materialised elsewhere (a worker process).
 
@@ -245,13 +176,16 @@ class HeteSimEngine:
         Counted as an *adoption*, not a materialisation -- the GEMM
         happened in another process and its own engine counter (merged
         into this registry by the process tier) already recorded it.
+        Workers run under the caller's exported execution scope, so
+        like :meth:`halves` nothing is memoised while it truncates.
         """
         if self.graph.relations_signature(key) != signature:
             raise QueryError(
                 f"adopted halves for {key!r} were computed under a "
                 "stale graph signature"
             )
-        self._halves[key] = (signature, halves)
+        if not truncating():
+            self._halves[key] = (signature, halves)
         self._adoptions.inc()
 
     @property
@@ -450,8 +384,11 @@ class HeteSimEngine:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    # measures
+    # measures: thin callers of the HeteSim plugin's prepared state
     # ------------------------------------------------------------------
+    def _prepared(self, path: PathSpec):
+        return get_measure("hetesim").prepare(self.measures, path)
+
     def relevance(
         self,
         source_key: str,
@@ -464,26 +401,18 @@ class HeteSimEngine:
         ``normalized=False`` gives the raw meeting probability (Eq. 6);
         the default is the cosine-normalised score of Definition 10.
         """
-        meta = self.path(path)
-        left, right, left_norms, right_norms = self.halves(meta)
-        i = self._resolve(meta.source_type.name, source_key)
-        j = self._resolve(meta.target_type.name, target_key)
-        return _pair_score(
-            left, right, left_norms, right_norms, i, j, normalized
+        return get_measure("hetesim").pair(
+            self.measures, path, source_key, target_key,
+            normalized=normalized,
         )
 
     def relevance_matrix(
         self, path: PathSpec, normalized: bool = True
     ) -> np.ndarray:
         """Dense relevance matrix of every (source, target) pair."""
-        meta = self.path(path)
-        left, right, left_norms, right_norms = self.halves(meta)
-        product = (left @ right.T).toarray()
-        if not normalized:
-            return product
-        scale_left = safe_reciprocal(left_norms)
-        scale_right = safe_reciprocal(right_norms)
-        return product * scale_left[:, None] * scale_right[None, :]
+        return get_measure("hetesim").matrix(
+            self.measures, path, normalized=normalized
+        )
 
     def relevance_pairs(
         self,
@@ -499,17 +428,13 @@ class HeteSimEngine:
         """
         if not pairs:
             raise QueryError("pairs must be non-empty")
-        meta = self.path(path)
-        left, right, left_norms, right_norms = self.halves(meta)
+        prepared = self._prepared(path)
+        shape = prepared.shape
         return [
-            _pair_score(
-                left,
-                right,
-                left_norms,
-                right_norms,
-                self._resolve(meta.source_type.name, source_key),
-                self._resolve(meta.target_type.name, target_key),
-                normalized,
+            prepared.score_pair(
+                self.measures.node_index(shape.source_type, source_key),
+                self.measures.node_index(shape.target_type, target_key),
+                normalized=normalized,
             )
             for source_key, target_key in pairs
         ]
@@ -530,33 +455,20 @@ class HeteSimEngine:
         """
         if not source_keys:
             raise QueryError("source_keys must be non-empty")
-        meta = self.path(path)
-        left, right, left_norms, right_norms = self.halves(meta)
-        indices = [
-            self._resolve(meta.source_type.name, key) for key in source_keys
+        prepared = self._prepared(path)
+        rows = [
+            self.measures.node_index(prepared.shape.source_type, key)
+            for key in source_keys
         ]
-        rows = left[indices, :]
-        product = (rows @ right.T).toarray()
-        if not normalized:
-            return product
-        scale_left = safe_reciprocal(left_norms[indices])
-        scale_right = safe_reciprocal(right_norms)
-        return product * scale_left[:, None] * scale_right[None, :]
+        return prepared.score_rows(rows, normalized=normalized)
 
     def relevance_vector(
         self, source_key: str, path: PathSpec, normalized: bool = True
     ) -> np.ndarray:
         """Relevance of ``source_key`` to every target-type object."""
-        meta = self.path(path)
-        left, right, left_norms, right_norms = self.halves(meta)
-        i = self._resolve(meta.source_type.name, source_key)
-        scores = (left.getrow(i) @ right.T).toarray().ravel()
-        if not normalized:
-            return scores
-        if left_norms[i] == 0:
-            return np.zeros_like(scores)
-        scale_right = safe_reciprocal(right_norms)
-        return scores * (scale_right / left_norms[i])
+        return get_measure("hetesim").vector(
+            self.measures, path, source_key, normalized=normalized
+        )
 
     # ------------------------------------------------------------------
     # ranked search
@@ -568,15 +480,9 @@ class HeteSimEngine:
 
         Ties break by node key so results are deterministic.
         """
-        meta = self.path(path)
-        scores = self.relevance_vector(
-            source_key, meta, normalized=normalized
+        return get_measure("hetesim").rank(
+            self.measures, path, source_key, normalized=normalized
         )
-        keys = self.graph.node_keys(meta.target_type.name)
-        order = sorted(
-            range(len(keys)), key=lambda i: (-scores[i], keys[i])
-        )
-        return [(keys[i], float(scores[i])) for i in order]
 
     def top_k(
         self,
@@ -593,16 +499,9 @@ class HeteSimEngine:
         ``k`` clamps like a slice (``k <= 0`` is empty, oversized ``k``
         is the full ranking).
         """
-        if k < 1:
-            return []
-        from .search import select_top_k
-
-        meta = self.path(path)
-        scores = self.relevance_vector(
-            source_key, meta, normalized=normalized
+        return get_measure("hetesim").top_k(
+            self.measures, path, source_key, k=k, normalized=normalized
         )
-        keys = self.graph.node_keys(meta.target_type.name)
-        return select_top_k(scores, keys, k)
 
     def explain(
         self,
@@ -639,14 +538,3 @@ class HeteSimEngine:
             label: self.top_k(source_key, spec, k=k)
             for label, spec in paths.items()
         }
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _resolve(self, type_name: str, key: str) -> int:
-        try:
-            return self.graph.node_index(type_name, key)
-        except Exception as exc:
-            raise QueryError(
-                f"object {key!r} is not a {type_name!r} node: {exc}"
-            ) from exc

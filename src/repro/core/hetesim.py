@@ -15,32 +15,39 @@ The computational form follows Equations (5)-(8):
    reachable-probability row vectors, restoring self-maximum
    (``HeteSim(a, a | symmetric P) = 1``) and the [0, 1] range.
 
-Everything here is expressed with sparse matrix algebra; single-pair and
-single-source queries propagate one sparse row vector instead of the full
-matrix, which is the paper's "on-line query" fast path (Section 4.6).
+This module owns steps 1-2 (:func:`half_reach_matrices`, the one
+halves constructor, and :func:`row_norms`).  Steps 3-4 live in the
+HeteSim measure plugin's prepared state
+(:class:`~repro.core.measures.hetesim.HeteSimPrepared`); the
+functional entry points below are thin callers of it.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import sparse
 
 from ..hin.decomposition import decompose_adjacency
-from ..hin.errors import QueryError
 from ..hin.graph import HeteroGraph
-from ..hin.matrices import row_normalize, safe_reciprocal, transition_matrix
+from ..hin.matrices import row_normalize
 from ..hin.metapath import MetaPath
 from .backend import materialise
 
 __all__ = [
     "half_reach_matrices",
+    "normed_halves",
+    "row_norms",
+    "hetesim_context",
     "hetesim_matrix",
     "hetesim_pair",
     "hetesim_all_targets",
     "hetesim_all_sources",
 ]
+
+#: ``(PM_PL, PM_{PR^-1}, left row norms, right row norms)``.
+Halves = Tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarray, np.ndarray]
 
 
 def half_reach_matrices(
@@ -51,56 +58,67 @@ def half_reach_matrices(
     ``PM_PL`` has one row per source-type object; ``PM_{PR^-1}`` one row
     per target-type object.  Both have one column per *middle* object --
     the middle node type for even-length paths, edge objects of the middle
-    relation for odd-length paths.
+    relation for odd-length paths.  A symmetric path's two halves are one
+    matrix, materialised once.
 
     Both halves are materialised through the planned compute layer
     (:mod:`repro.core.backend`); pass a
     :class:`~repro.core.cache.PathMatrixCache` to reuse and seed stored
     prefixes across calls.
     """
-    halves = path.halves()
-    if not halves.needs_edge_object:
-        if cache is not None:
-            left = cache.reach_prob(halves.left)
-            right = cache.reach_prob(halves.right.reverse())
-        else:
-            left, _ = materialise(graph, halves.left)
-            right, _ = materialise(graph, halves.right.reverse())
-        return left, right
+    split = path.halves()
+    if not split.needs_edge_object:
+        left = _product(graph, split.left, cache)
+        if split.right.reverse() == split.left:
+            return left, left
+        return left, _product(graph, split.right.reverse(), cache)
 
-    middle = halves.middle_relation
-    w_ae, w_eb = decompose_adjacency(graph.adjacency(middle.name))
-    into_edges_forward = row_normalize(w_ae)          # U_{X E}
-    into_edges_backward = row_normalize(w_eb.T)       # U_{Y E}
-
-    def _extended(half, extra):
-        if half is None:
-            return extra
-        if cache is not None:
-            return cache.extended_product(half, extra)
-        matrix, _ = materialise(graph, half, extra_right=extra)
-        return matrix
-
-    left = _extended(halves.left, into_edges_forward)
-    right = _extended(
-        halves.right.reverse() if halves.right is not None else None,
-        into_edges_backward,
+    w_ae, w_eb = decompose_adjacency(
+        graph.adjacency(split.middle_relation.name)
     )
-    return left, right
+    forward, backward = row_normalize(w_ae), row_normalize(w_eb.T)
+    if split.left is not None:
+        forward = _product(graph, split.left, cache, forward)
+    if split.right is not None:
+        backward = _product(graph, split.right.reverse(), cache, backward)
+    return forward, backward
 
 
-def _cosine_normalize_product(
-    left: sparse.csr_matrix, right: sparse.csr_matrix
-) -> np.ndarray:
-    """Dense ``cos(left[a,:], right[b,:])`` matrix; zero rows give 0."""
-    product = (left @ right.T).toarray()
-    left_norms = np.sqrt(np.asarray(left.multiply(left).sum(axis=1))).ravel()
-    right_norms = np.sqrt(
-        np.asarray(right.multiply(right).sum(axis=1))
-    ).ravel()
-    scale_left = safe_reciprocal(left_norms)
-    scale_right = safe_reciprocal(right_norms)
-    return product * scale_left[:, None] * scale_right[None, :]
+def _product(graph: HeteroGraph, half: MetaPath, cache, into_edges=None):
+    """``PM_half``, times ``into_edges`` when given, through ``cache``
+    when given."""
+    if cache is None:
+        return materialise(graph, half, extra_right=into_edges)[0]
+    if into_edges is None:
+        return cache.reach_prob(half)
+    return cache.extended_product(half, into_edges)
+
+
+def row_norms(half: sparse.csr_matrix) -> np.ndarray:
+    """Euclidean norm of every row of a half matrix (Eq. 8's factors)."""
+    return np.sqrt(np.asarray(half.multiply(half).sum(axis=1))).ravel()
+
+
+def normed_halves(graph: HeteroGraph, path: MetaPath, cache=None) -> Halves:
+    """:func:`half_reach_matrices` plus both halves' row norms.
+
+    The scoring state of
+    :class:`~repro.core.measures.hetesim.HeteSimPrepared`, and what the
+    engine memoises per path.
+    """
+    left, right = half_reach_matrices(graph, path, cache=cache)
+    left_norms = row_norms(left)
+    right_norms = left_norms if right is left else row_norms(right)
+    return left, right, left_norms, right_norms
+
+
+def hetesim_context(graph: HeteroGraph, cache=None):
+    """``(HeteSim measure, engine-less MeasureContext)`` for ``graph``:
+    what the functional entry points here and in
+    :mod:`repro.core.search` score through."""
+    from .measures import MeasureContext, get_measure
+
+    return get_measure("hetesim"), MeasureContext(graph=graph, cache=cache)
 
 
 def hetesim_matrix(
@@ -116,60 +134,8 @@ def hetesim_matrix(
     connection, Property 5); the default applies Def. 10's cosine
     normalisation.
     """
-    left, right = half_reach_matrices(graph, path)
-    if normalized:
-        return _cosine_normalize_product(left, right)
-    return (left @ right.T).toarray()
-
-
-def _single_row(matrix: sparse.csr_matrix, index: int) -> sparse.csr_matrix:
-    return matrix.getrow(index)
-
-
-def _propagate_row(
-    graph: HeteroGraph, path: Optional[MetaPath], start_row: sparse.csr_matrix
-) -> sparse.csr_matrix:
-    """Push one sparse row vector through a (possibly empty) path."""
-    row = start_row
-    if path is not None:
-        for relation in path.relations:
-            row = row @ transition_matrix(graph, relation.name, "U")
-    return sparse.csr_matrix(row)
-
-
-def _half_reach_rows(
-    graph: HeteroGraph,
-    path: MetaPath,
-    source_index: int,
-    target_index: int,
-) -> Tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """Single-pair analogue of :func:`half_reach_matrices`.
-
-    Propagates one-hot rows for ``source_index`` (forward along ``PL``)
-    and ``target_index`` (backward along ``PR``) instead of multiplying
-    full matrices -- the on-line query fast path of Section 4.6.
-    """
-    halves = path.halves()
-    n_src = graph.num_nodes(path.source_type.name)
-    n_tgt = graph.num_nodes(path.target_type.name)
-    src_row = sparse.csr_matrix(
-        ([1.0], ([0], [source_index])), shape=(1, n_src)
-    )
-    tgt_row = sparse.csr_matrix(
-        ([1.0], ([0], [target_index])), shape=(1, n_tgt)
-    )
-
-    if not halves.needs_edge_object:
-        left = _propagate_row(graph, halves.left, src_row)
-        right = _propagate_row(graph, halves.right.reverse(), tgt_row)
-        return left, right
-
-    middle = halves.middle_relation
-    w_ae, w_eb = decompose_adjacency(graph.adjacency(middle.name))
-    left = _propagate_row(graph, halves.left, src_row) @ row_normalize(w_ae)
-    right = _propagate_row(graph, halves.right.reverse() if halves.right else None, tgt_row)
-    right = right @ row_normalize(w_eb.T)
-    return sparse.csr_matrix(left), sparse.csr_matrix(right)
+    measure, ctx = hetesim_context(graph)
+    return measure.matrix(ctx, path, normalized=normalized)
 
 
 def hetesim_pair(
@@ -184,17 +150,10 @@ def hetesim_pair(
     ``source_key`` must name an object of the path's source type and
     ``target_key`` one of its target type; :class:`QueryError` otherwise.
     """
-    source_index = _resolve(graph, path.source_type.name, source_key)
-    target_index = _resolve(graph, path.target_type.name, target_key)
-    left, right = _half_reach_rows(graph, path, source_index, target_index)
-    dot = float((left @ right.T).toarray()[0, 0])
-    if not normalized:
-        return dot
-    left_norm = sparse.linalg.norm(left)
-    right_norm = sparse.linalg.norm(right)
-    if left_norm == 0 or right_norm == 0:
-        return 0.0
-    return dot / (left_norm * right_norm)
+    measure, ctx = hetesim_context(graph)
+    return measure.pair(
+        ctx, path, source_key, target_key, normalized=normalized
+    )
 
 
 def hetesim_all_targets(
@@ -207,27 +166,14 @@ def hetesim_all_targets(
     """Relevance of one source object to *every* target-type object.
 
     Returns a dense vector indexed like the target type's node indices.
-    Computes ``PM_{PR^-1}`` once but only a single forward row, so it is
-    much cheaper than :func:`hetesim_matrix` when one query row is needed.
 
     Pass a :class:`~repro.core.cache.PathMatrixCache` as ``cache`` so
     repeated queries on the same path reuse the materialised halves
     instead of rebuilding them every call (§4.6's off-line store); for
     many queries at once prefer the batch API in :mod:`repro.serve`.
     """
-    source_index = _resolve(graph, path.source_type.name, source_key)
-    left_full, right = half_reach_matrices(graph, path, cache=cache)
-    left = _single_row(left_full, source_index)
-    scores = (left @ right.T).toarray().ravel()
-    if not normalized:
-        return scores
-    left_norm = sparse.linalg.norm(left)
-    if left_norm == 0:
-        return np.zeros_like(scores)
-    right_norms = np.sqrt(
-        np.asarray(right.multiply(right).sum(axis=1))
-    ).ravel()
-    return scores * (safe_reciprocal(right_norms) / left_norm)
+    measure, ctx = hetesim_context(graph, cache)
+    return measure.vector(ctx, path, source_key, normalized=normalized)
 
 
 def hetesim_all_sources(
@@ -246,12 +192,3 @@ def hetesim_all_sources(
         graph, path.reverse(), target_key, normalized=normalized,
         cache=cache,
     )
-
-
-def _resolve(graph: HeteroGraph, type_name: str, key: str) -> int:
-    try:
-        return graph.node_index(type_name, key)
-    except Exception as exc:
-        raise QueryError(
-            f"object {key!r} is not a {type_name!r} node: {exc}"
-        ) from exc

@@ -18,14 +18,14 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import svds
 
 from ..hin.errors import QueryError
 from ..hin.graph import HeteroGraph
-from ..hin.matrices import safe_reciprocal
 from ..hin.metapath import MetaPath
-from .hetesim import half_reach_matrices
+from .hetesim import normed_halves
+from .measures.hetesim import cosine_normalise
+from .search import select_top_k
 
 __all__ = ["LowRankHeteSim"]
 
@@ -60,7 +60,9 @@ class LowRankHeteSim:
     ) -> None:
         if rank < 1:
             raise QueryError(f"rank must be >= 1, got {rank}")
-        left, right = half_reach_matrices(graph, path, cache=cache)
+        left, right, left_norms, right_norms = normed_halves(
+            graph, path, cache=cache
+        )
         rank_left = min(rank, min(left.shape) - 1)
         rank_right = min(rank, min(right.shape) - 1)
         if rank_left < 1 or rank_right < 1:
@@ -95,32 +97,37 @@ class LowRankHeteSim:
         self._cross = vt_left @ vt_right.T
 
         # Exact row norms (cheap) so normalisation does not degrade.
-        self._left_norms = np.sqrt(
-            np.asarray(left.multiply(left).sum(axis=1))
-        ).ravel()
-        self._right_norms = np.sqrt(
-            np.asarray(right.multiply(right).sum(axis=1))
-        ).ravel()
+        self._left_norms = left_norms
+        self._right_norms = right_norms
 
-        total_energy = float(left.multiply(left).sum())
+        total_energy = float(left_norms @ left_norms)
         kept_energy = float(np.sum(s_left ** 2))
         self.captured_energy = (
             kept_energy / total_energy if total_energy > 0 else 1.0
         )
 
     # ------------------------------------------------------------------
-    def relevance_matrix(self, normalized: bool = True) -> np.ndarray:
-        """Approximate all-pairs relevance matrix."""
-        product = self._a @ self._cross @ self._b.T
+    def _scores(self, rows, cols, normalized: bool) -> np.ndarray:
+        """Approximate ``(rows, cols)`` block; Eq. 8 when normalised."""
+        product = self._a[rows] @ self._cross @ self._b[cols].T
         if not normalized:
             return product
-        scale_left = safe_reciprocal(self._left_norms)
-        scale_right = safe_reciprocal(self._right_norms)
-        scaled = product * scale_left[:, None] * scale_right[None, :]
         # Rank truncation can push a cosine score epsilon outside [0, 1];
         # the exact value always lies inside, so clamping only shrinks
         # the approximation error.
-        return np.clip(scaled, 0.0, 1.0)
+        return np.clip(
+            cosine_normalise(
+                product, rows, self._left_norms, self._right_norms[cols]
+            ),
+            0.0,
+            1.0,
+        )
+
+    def relevance_matrix(self, normalized: bool = True) -> np.ndarray:
+        """Approximate all-pairs relevance matrix."""
+        return self._scores(
+            range(len(self._left_norms)), slice(None), normalized
+        )
 
     def relevance(
         self, source_key: str, target_key: str, normalized: bool = True
@@ -128,40 +135,19 @@ class LowRankHeteSim:
         """Approximate relevance of one pair in O(rank^2) time."""
         i = self._resolve(self.path.source_type.name, source_key)
         j = self._resolve(self.path.target_type.name, target_key)
-        value = float(self._a[i] @ self._cross @ self._b[j])
-        if not normalized:
-            return value
-        if self._left_norms[i] == 0 or self._right_norms[j] == 0:
-            return 0.0
-        scaled = value / (self._left_norms[i] * self._right_norms[j])
-        return min(1.0, max(0.0, scaled))
+        return float(self._scores([i], [j], normalized)[0, 0])
 
     def top_k(
         self, source_key: str, k: int = 10, normalized: bool = True
     ) -> List[Tuple[str, float]]:
-        """Approximate top-k targets for one source."""
+        """Approximate top-k targets for one source (``k`` clamps like a
+        slice)."""
         if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
+            return []
         i = self._resolve(self.path.source_type.name, source_key)
-        scores = (self._a[i] @ self._cross) @ self._b.T
-        if normalized:
-            if self._left_norms[i] == 0:
-                scores = np.zeros_like(scores)
-            else:
-                scores = np.clip(
-                    scores
-                    * (
-                        safe_reciprocal(self._right_norms)
-                        / self._left_norms[i]
-                    ),
-                    0.0,
-                    1.0,
-                )
+        scores = self._scores([i], slice(None), normalized)[0]
         keys = self.graph.node_keys(self.path.target_type.name)
-        order = sorted(
-            range(len(keys)), key=lambda n: (-scores[n], keys[n])
-        )
-        return [(keys[n], float(scores[n])) for n in order[:k]]
+        return select_top_k(scores, keys, k)
 
     def _resolve(self, type_name: str, key: str) -> int:
         if not self.graph.has_node(type_name, key):

@@ -30,17 +30,19 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
-from ...hin.errors import QueryError
+from ...hin.errors import GraphError, QueryError
 from ...hin.graph import HeteroGraph
 from ...hin.metapath import MetaPath, PathSpec
 from ...obs.metrics import REGISTRY
 from ..backend import materialise
 from ..cache import PathMatrixCache
+from ..hetesim import Halves, normed_halves
+from ..search import select_top_k
 
 __all__ = [
     "MeasureContext",
@@ -60,6 +62,18 @@ _MEASURE_QUERIES = REGISTRY.counter(
     "repro_measure_queries_total",
     "Single-query scoring calls answered, by measure.",
 )
+_SERIES: Dict[Tuple[str, str], Any] = {}
+
+
+def _count(family, measure: str) -> None:
+    """``family.labels(measure=measure).inc()``, the child memoised:
+    the label lookup costs more than the increment on hot query paths."""
+    child = _SERIES.get((family.name, measure))
+    if child is None:
+        child = _SERIES.setdefault(
+            (family.name, measure), family.labels(measure=measure)
+        )
+    child.inc()
 
 
 class MeasureContext:
@@ -97,9 +111,16 @@ class MeasureContext:
         """Parse any accepted path specification against the schema."""
         return self.graph.schema.path(spec)
 
-    def halves(
-        self, path: MetaPath
-    ) -> Tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarray, np.ndarray]:
+    def node_index(self, type_name: str, key: str) -> int:
+        """Index of node ``key`` of ``type_name``; QueryError if absent."""
+        try:
+            return self.graph.node_index(type_name, key)
+        except GraphError as exc:
+            raise QueryError(
+                f"{key!r} is not a {type_name!r} node"
+            ) from exc
+
+    def halves(self, path: MetaPath) -> Halves:
         """``(PM_PL, PM_PR^-1, left_norms, right_norms)`` for ``path``.
 
         Served from the engine's single-flight memo when an engine is
@@ -108,18 +129,7 @@ class MeasureContext:
         """
         if self.engine is not None:
             return self.engine.halves(path)
-        from ..hetesim import half_reach_matrices
-
-        left, right = half_reach_matrices(
-            self.graph, path, cache=self.cache
-        )
-        left_norms = np.sqrt(
-            np.asarray(left.multiply(left).sum(axis=1))
-        ).ravel()
-        right_norms = np.sqrt(
-            np.asarray(right.multiply(right).sum(axis=1))
-        ).ravel()
-        return left, right, left_norms, right_norms
+        return normed_halves(self.graph, path, cache=self.cache)
 
     def reach(self, path: MetaPath) -> sparse.csr_matrix:
         """``PM_path`` (Definition 9) through the planned layer."""
@@ -187,6 +197,16 @@ class QueryShape:
     target_type: str
     display: str
 
+    @classmethod
+    def of_path(cls, meta: MetaPath) -> "QueryShape":
+        """The shape of a single-path query: grouped by relation names."""
+        return cls(
+            group_key=tuple([r.name for r in meta.relations]),
+            source_type=meta.source_type.name,
+            target_type=meta.target_type.name,
+            display=meta.code(),
+        )
+
 
 class PreparedMeasure(ABC):
     """Materialised scoring state for one ``(measure, group)`` pair.
@@ -217,6 +237,16 @@ class PreparedMeasure(ABC):
         """Scores of one source row against every target object."""
         return self.score_rows([row], normalized=normalized)[0]
 
+    def score_pair(
+        self, row: int, col: int, normalized: bool = True
+    ) -> float:
+        """Score of source row ``row`` against target column ``col``.
+
+        Defaults to indexing :meth:`score_rows`; measures with a
+        cheaper exact pair formula override it.
+        """
+        return float(self.score_rows([row], normalized=normalized)[0, col])
+
     def target_keys(self) -> List[str]:
         """Target-type node keys aligned with the score columns."""
         return self.ctx.graph.node_keys(self.shape.target_type)
@@ -228,9 +258,11 @@ class Measure(ABC):
     Subclasses set :attr:`name` / :attr:`description`, implement
     :meth:`resolve` and :meth:`prepare`, and inherit single-query
     conveniences (:meth:`pair`, :meth:`vector`, :meth:`rank`,
-    :meth:`top_k`, :meth:`matrix`) built on the prepared state.  A
-    measure instance is stateless; all per-graph state lives in the
-    :class:`MeasureContext` and the prepared objects.
+    :meth:`top_k`, :meth:`matrix`) built on the prepared state and
+    :func:`~repro.core.search.select_top_k`.  Each convenience parses
+    the spec once and prepares once.  A measure instance is stateless;
+    all per-graph state lives in the :class:`MeasureContext` and the
+    prepared objects.
     """
 
     name: str = ""
@@ -254,7 +286,7 @@ class Measure(ABC):
     ) -> PreparedMeasure:
         """Materialise the scoring state for ``spec`` (counted)."""
         prepared = self._prepare(ctx, spec)
-        _MEASURE_PREPARES.labels(measure=self.name).inc()
+        _count(_MEASURE_PREPARES, self.name)
         return prepared
 
     @abstractmethod
@@ -264,14 +296,32 @@ class Measure(ABC):
         """Subclass hook behind :meth:`prepare`."""
 
     # -- single-query conveniences -------------------------------------
-    def _resolve_source(
-        self, ctx: MeasureContext, shape: QueryShape, source_key: str
-    ) -> int:
-        if not ctx.graph.has_node(shape.source_type, source_key):
-            raise QueryError(
-                f"{source_key!r} is not a {shape.source_type!r} node"
-            )
-        return ctx.graph.node_index(shape.source_type, source_key)
+    def _source_query(
+        self, ctx: MeasureContext, spec: PathSpec, source_key: str
+    ) -> Tuple[PreparedMeasure, int]:
+        """Count one query; its prepared state and source row."""
+        _count(_MEASURE_QUERIES, self.name)
+        prepared = self.prepare(ctx, spec)
+        row = ctx.node_index(prepared.shape.source_type, source_key)
+        return prepared, row
+
+    def _scores(
+        self,
+        ctx: MeasureContext,
+        spec: PathSpec,
+        source_key: str,
+        normalized: bool,
+    ) -> Tuple[np.ndarray, str]:
+        """One counted query: the source's score row and target type.
+
+        The hook behind :meth:`vector`, :meth:`rank` and :meth:`top_k`;
+        a measure with a cheaper single-row formula overrides it.
+        """
+        prepared, row = self._source_query(ctx, spec, source_key)
+        return (
+            prepared.score_vector(row, normalized=normalized),
+            prepared.shape.target_type,
+        )
 
     def vector(
         self,
@@ -281,12 +331,7 @@ class Measure(ABC):
         normalized: bool = True,
     ) -> np.ndarray:
         """Scores of one source against every target-type object."""
-        _MEASURE_QUERIES.labels(measure=self.name).inc()
-        shape = self.resolve(ctx, spec)
-        row = self._resolve_source(ctx, shape, source_key)
-        return self.prepare(ctx, spec).score_vector(
-            row, normalized=normalized
-        )
+        return self._scores(ctx, spec, source_key, normalized)[0]
 
     def pair(
         self,
@@ -297,17 +342,23 @@ class Measure(ABC):
         normalized: bool = True,
     ) -> float:
         """Score of one (source, target) pair."""
-        shape = self.resolve(ctx, spec)
-        if not ctx.graph.has_node(shape.target_type, target_key):
-            raise QueryError(
-                f"{target_key!r} is not a {shape.target_type!r} node"
-            )
-        scores = self.vector(
-            ctx, spec, source_key, normalized=normalized
+        prepared, row = self._source_query(ctx, spec, source_key)
+        col = ctx.node_index(prepared.shape.target_type, target_key)
+        return prepared.score_pair(row, col, normalized=normalized)
+
+    def _ranked(
+        self,
+        ctx: MeasureContext,
+        spec: PathSpec,
+        source_key: str,
+        k: Optional[int],
+        normalized: bool,
+    ) -> List[Tuple[str, float]]:
+        scores, target_type = self._scores(
+            ctx, spec, source_key, normalized
         )
-        return float(
-            scores[ctx.graph.node_index(shape.target_type, target_key)]
-        )
+        keys = ctx.graph.node_keys(target_type)
+        return select_top_k(scores, keys, len(keys) if k is None else k)
 
     def rank(
         self,
@@ -317,15 +368,7 @@ class Measure(ABC):
         normalized: bool = True,
     ) -> List[Tuple[str, float]]:
         """All target objects ranked best first (key tie-break)."""
-        shape = self.resolve(ctx, spec)
-        scores = self.vector(
-            ctx, spec, source_key, normalized=normalized
-        )
-        keys = ctx.graph.node_keys(shape.target_type)
-        order = sorted(
-            range(len(keys)), key=lambda i: (-scores[i], keys[i])
-        )
-        return [(keys[i], float(scores[i])) for i in order]
+        return self._ranked(ctx, spec, source_key, None, normalized)
 
     def top_k(
         self,
@@ -335,17 +378,14 @@ class Measure(ABC):
         k: int = 10,
         normalized: bool = True,
     ) -> List[Tuple[str, float]]:
-        """The ``k`` best targets, matching ``rank(...)[:k]`` exactly."""
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
-        from ..search import select_top_k
+        """The ``k`` best targets, matching ``rank(...)[:k]`` exactly.
 
-        shape = self.resolve(ctx, spec)
-        scores = self.vector(
-            ctx, spec, source_key, normalized=normalized
-        )
-        keys = ctx.graph.node_keys(shape.target_type)
-        return select_top_k(scores, keys, k)
+        ``k`` clamps like a slice: ``k <= 0`` gives an empty list
+        without any work, an oversized ``k`` the full ranking.
+        """
+        if k < 1:
+            return []
+        return self._ranked(ctx, spec, source_key, k, normalized)
 
     def matrix(
         self,
@@ -354,10 +394,9 @@ class Measure(ABC):
         normalized: bool = True,
     ) -> np.ndarray:
         """Dense all-pairs score matrix."""
-        _MEASURE_QUERIES.labels(measure=self.name).inc()
-        shape = self.resolve(ctx, spec)
+        _count(_MEASURE_QUERIES, self.name)
         prepared = self.prepare(ctx, spec)
-        n_sources = ctx.graph.num_nodes(shape.source_type)
+        n_sources = ctx.graph.num_nodes(prepared.shape.source_type)
         return prepared.score_rows(
             range(n_sources), normalized=normalized
         )

@@ -38,6 +38,7 @@ from .base import (
     get_measure,
     register_measure,
 )
+from ..search import select_top_k
 
 __all__ = [
     "CombinedMeasure",
@@ -45,6 +46,7 @@ __all__ = [
     "CombinedFit",
     "parse_combined_spec",
     "fit_combined_weights",
+    "weights_spec",
 ]
 
 
@@ -205,13 +207,21 @@ class CombinedFit:
 
     @property
     def spec(self) -> str:
-        # Zero-weight paths are dropped: a valid combined spec needs
-        # strictly positive weights.
-        return ",".join(
-            f"{code}={weight:g}"
-            for code, weight in self.weights.items()
-            if weight > 0
-        )
+        """The fitted weights as a ready-to-query combined spec."""
+        return weights_spec(self.weights)
+
+
+def weights_spec(weights: Mapping[str, float]) -> str:
+    """Render ``{path code: weight}`` as a combined spec string.
+
+    Zero-weight paths are dropped (a valid combined spec needs
+    strictly positive weights); weights keep full float precision.
+    """
+    return ",".join(
+        f"{code}={float(weight)!r}"
+        for code, weight in weights.items()
+        if weight > 0
+    )
 
 
 def _metric_fn(metric: str, k: int):
@@ -325,11 +335,9 @@ def fit_combined_weights(
                 weight * vector
                 for weight, vector in zip(weights, vectors)
             )
-            order = sorted(
-                range(len(keys)),
-                key=lambda i: (-scores[i], keys[i]),
-            )
-            ranked = [keys[i] for i in order]
+            ranked = [
+                key for key, _ in select_top_k(scores, keys, len(keys))
+            ]
             total += score_fn(ranked, relevant)
         mean = total / len(per_query)
         if mean > best_score:

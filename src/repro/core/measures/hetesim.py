@@ -7,6 +7,12 @@ engine's single-flight memo when one is attached.  That sharing is
 what lets a mixed-measure batch (plain HeteSim plus a
 :class:`~repro.core.measures.combined.CombinedMeasure` component on
 the same path) materialise each path's halves exactly once.
+
+:class:`HeteSimPrepared` is the only code that turns halves into
+HeteSim scores: every engine method, the functional API in
+:mod:`repro.core.hetesim`, :mod:`repro.core.search`, the batch and
+process tiers and the degradation ladder's halves rungs score through
+it.
 """
 
 from __future__ import annotations
@@ -28,45 +34,31 @@ from .base import (
 __all__ = [
     "HeteSimMeasure",
     "HeteSimPrepared",
-    "raw_block",
-    "normalise_block",
+    "cosine_normalise",
 ]
 
 
-def raw_block(left, right, rows: Sequence[int]):
-    """``(left[rows] @ right.T).toarray()`` plus the product's nnz.
-
-    The single raw-block GEMM implementation shared by
-    :class:`HeteSimPrepared` and the process tier's shard workers
-    (:mod:`repro.serve.procs`): CSR matmul computes each output row
-    independently, so scoring a row shard through this function is
-    bit-identical to slicing those rows out of the full block --
-    the property the cross-backend determinism tests pin.
-    """
-    product = left[list(rows), :] @ right.T
-    return product.toarray(), int(product.nnz)
-
-
-def normalise_block(
-    block: np.ndarray,
+def cosine_normalise(
+    raw: np.ndarray,
     rows: Sequence[int],
     left_norms: np.ndarray,
     right_norms: np.ndarray,
 ) -> np.ndarray:
-    """Cosine-normalise a raw block (zero-norm rows score 0, not NaN).
+    """Eq. 8: scale a raw ``(rows, targets)`` block to cosine scores.
 
-    Shared with the process tier's shard workers for the same
-    bit-identity reason as :func:`raw_block`.
+    Block row ``p`` belongs to source row ``rows[p]`` of the left half
+    (norms ``left_norms``); ``right_norms`` align with the block's
+    columns.  A zero-norm source row scores 0, never NaN; zero-norm
+    targets score 0 through :func:`~repro.hin.matrices.safe_reciprocal`.
     """
-    scale_right = safe_reciprocal(right_norms)
-    scored = np.empty_like(block)
+    scale = safe_reciprocal(right_norms)
+    scored = np.empty_like(raw)
     for position, row in enumerate(rows):
-        if left_norms[row] == 0:
-            scored[position] = np.zeros_like(block[position])
+        norm = left_norms[row]
+        if norm == 0:
+            scored[position] = 0.0
         else:
-            scored[position] = block[position] * (
-                scale_right / left_norms[row]
-            )
+            np.multiply(raw[position], scale / norm, out=scored[position])
     return scored
 
 
@@ -76,7 +68,11 @@ class HeteSimPrepared(PreparedMeasure):
     ``score_rows`` computes the raw block ``left[rows] @ right.T``
     once per distinct row set and derives both normalisation modes
     from it, so a group mixing ``normalized`` flags still costs one
-    GEMM.
+    GEMM.  ``score_pair`` dots one source row with one target row, and
+    its result is bit-identical to that entry of ``score_rows``.
+
+    The process tier's shard workers build one with ``ctx`` and
+    ``shape`` set to None: scoring rows needs only the halves.
     """
 
     def __init__(self, ctx, shape, halves) -> None:
@@ -89,21 +85,38 @@ class HeteSimPrepared(PreparedMeasure):
     def _raw_block(self, rows: Tuple[int, ...]) -> np.ndarray:
         block = self._blocks.get(rows)
         if block is None:
-            block, self.last_block_nnz = raw_block(
-                self.left, self.right, rows
-            )
+            if len(rows) == 1:
+                # Fancy indexing is markedly slower for a single row.
+                picked = self.left.getrow(rows[0])
+            else:
+                picked = self.left[list(rows), :]
+            product = picked @ self.right.T
+            block = product.toarray()
+            self.last_block_nnz = int(product.nnz)
             self._blocks[rows] = block
         return block
 
     def score_rows(
         self, rows: Sequence[int], normalized: bool = True
     ) -> np.ndarray:
-        block = self._raw_block(tuple(rows))
+        key = tuple(rows)
+        block = self._raw_block(key)
         if not normalized:
             return block
-        return normalise_block(
-            block, rows, self.left_norms, self.right_norms
+        return cosine_normalise(
+            block, key, self.left_norms, self.right_norms
         )
+
+    def score_pair(
+        self, row: int, col: int, normalized: bool = True
+    ) -> float:
+        product = self.left.getrow(row) @ self.right.getrow(col).T
+        raw = product.toarray()
+        if normalized:
+            raw = cosine_normalise(
+                raw, [row], self.left_norms, self.right_norms[col:col + 1]
+            )
+        return float(raw[0, 0])
 
 
 class HeteSimMeasure(Measure):
@@ -116,20 +129,14 @@ class HeteSimMeasure(Measure):
     )
 
     def resolve(self, ctx: MeasureContext, spec: PathSpec) -> QueryShape:
-        meta = ctx.path(spec)
-        return QueryShape(
-            group_key=tuple(r.name for r in meta.relations),
-            source_type=meta.source_type.name,
-            target_type=meta.target_type.name,
-            display=meta.code(),
-        )
+        return QueryShape.of_path(ctx.path(spec))
 
     def _prepare(
         self, ctx: MeasureContext, spec: PathSpec
     ) -> HeteSimPrepared:
         meta = ctx.path(spec)
         return HeteSimPrepared(
-            ctx, self.resolve(ctx, spec), ctx.halves(meta)
+            ctx, QueryShape.of_path(meta), ctx.halves(meta)
         )
 
 

@@ -33,6 +33,7 @@ from .base import (
     QueryShape,
     register_measure,
 )
+from ..search import select_top_k
 
 __all__ = ["PPRMeasure", "PPRPrepared", "restart_walk_scores"]
 
@@ -171,10 +172,7 @@ class PPRMeasure(Measure):
         scores = restart_walk_scores(walk, restart, damping=damping)
         keys = ctx.graph.node_keys(target_type)
         block = scores[index.type_slice(target_type, len(keys))]
-        order = sorted(
-            range(len(keys)), key=lambda i: (-block[i], keys[i])
-        )
-        return [(keys[i], float(block[i])) for i in order]
+        return select_top_k(block, keys, len(keys))
 
 
 register_measure(PPRMeasure())

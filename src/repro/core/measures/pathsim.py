@@ -11,7 +11,7 @@ default is the paper's ``2 M(a,b) / (M(a,a) + M(b,b))``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from ...hin.errors import PathError, QueryError
 from ...hin.metapath import MetaPath, PathSpec
 from .base import (
     _MEASURE_QUERIES,
+    _count,
     Measure,
     MeasureContext,
     PreparedMeasure,
@@ -71,20 +72,14 @@ class PathSimMeasure(Measure):
     def resolve(self, ctx: MeasureContext, spec: PathSpec) -> QueryShape:
         meta = ctx.path(spec)
         require_symmetric(meta)
-        return QueryShape(
-            group_key=tuple(r.name for r in meta.relations),
-            source_type=meta.source_type.name,
-            target_type=meta.target_type.name,
-            display=meta.code(),
-        )
+        return QueryShape.of_path(meta)
 
     def _prepare(
         self, ctx: MeasureContext, spec: PathSpec
     ) -> PathSimPrepared:
         meta = ctx.path(spec)
-        require_symmetric(meta)
         return PathSimPrepared(
-            ctx, self.resolve(ctx, spec), ctx.count_matrix(meta)
+            ctx, self.resolve(ctx, meta), ctx.count_matrix(meta)
         )
 
     def pair(
@@ -96,7 +91,7 @@ class PathSimMeasure(Measure):
         normalized: bool = True,
     ) -> float:
         """Sparse-indexed pair score (never densifies a row)."""
-        _MEASURE_QUERIES.labels(measure=self.name).inc()
+        _count(_MEASURE_QUERIES, self.name)
         shape = self.resolve(ctx, spec)
         type_name = shape.source_type
         for key in (source_key, target_key):
@@ -122,7 +117,7 @@ class PathSimMeasure(Measure):
         normalized: bool = True,
     ) -> np.ndarray:
         """All-pairs PathSim, mirroring the legacy dense formula."""
-        _MEASURE_QUERIES.labels(measure=self.name).inc()
+        _count(_MEASURE_QUERIES, self.name)
         self.resolve(ctx, spec)
         counts = self.prepare(ctx, spec).counts.toarray()
         if not normalized:
@@ -134,27 +129,28 @@ class PathSimMeasure(Measure):
                 denominator > 0, 2.0 * counts / denominator, 0.0
             )
 
-    def vector(
+    def _scores(
         self,
         ctx: MeasureContext,
         spec: PathSpec,
         source_key: str,
-        normalized: bool = True,
-    ) -> np.ndarray:
+        normalized: bool,
+    ) -> Tuple[np.ndarray, str]:
         """One source's scores, mirroring the legacy row formula."""
-        _MEASURE_QUERIES.labels(measure=self.name).inc()
+        _count(_MEASURE_QUERIES, self.name)
         shape = self.resolve(ctx, spec)
-        row_index = self._resolve_source(ctx, shape, source_key)
+        row_index = ctx.node_index(shape.source_type, source_key)
         counts = self.prepare(ctx, spec).counts
         row = counts.getrow(row_index).toarray().ravel()
         if not normalized:
-            return row
+            return row, shape.target_type
         diagonal = counts.diagonal()
         denominator = diagonal[row_index] + diagonal
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(
+            scores = np.where(
                 denominator > 0, 2.0 * row / denominator, 0.0
             )
+        return scores, shape.target_type
 
 
 register_measure(PathSimMeasure())

@@ -22,7 +22,7 @@ one materialisation regardless of size.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from ...hin.errors import QueryError
 from ...hin.metapath import PathSpec
 from .base import (
     _MEASURE_QUERIES,
+    _count,
     Measure,
     MeasureContext,
     PreparedMeasure,
@@ -64,34 +65,30 @@ class PCRWMeasure(Measure):
     supports_raw = False
 
     def resolve(self, ctx: MeasureContext, spec: PathSpec) -> QueryShape:
-        meta = ctx.path(spec)
-        return QueryShape(
-            group_key=tuple(r.name for r in meta.relations),
-            source_type=meta.source_type.name,
-            target_type=meta.target_type.name,
-            display=meta.code(),
-        )
+        return QueryShape.of_path(ctx.path(spec))
 
     def _prepare(
         self, ctx: MeasureContext, spec: PathSpec
     ) -> WalkPrepared:
         meta = ctx.path(spec)
-        return WalkPrepared(
-            ctx, self.resolve(ctx, spec), ctx.reach(meta)
-        )
+        return WalkPrepared(ctx, QueryShape.of_path(meta), ctx.reach(meta))
 
-    def vector(
+    def _scores(
         self,
         ctx: MeasureContext,
         spec: PathSpec,
         source_key: str,
-        normalized: bool = True,
-    ) -> np.ndarray:
+        normalized: bool,
+    ) -> Tuple[np.ndarray, str]:
         """One-hot row propagation -- never materialises the full PM."""
-        _MEASURE_QUERIES.labels(measure=self.name).inc()
+        _count(_MEASURE_QUERIES, self.name)
         from ..reachprob import reach_row
 
-        return reach_row(ctx.graph, ctx.path(spec), source_key)
+        meta = ctx.path(spec)
+        return (
+            reach_row(ctx.graph, meta, source_key),
+            meta.target_type.name,
+        )
 
     def pair(
         self,
@@ -117,7 +114,7 @@ class PCRWMeasure(Measure):
         spec: PathSpec,
         normalized: bool = True,
     ) -> np.ndarray:
-        _MEASURE_QUERIES.labels(measure=self.name).inc()
+        _count(_MEASURE_QUERIES, self.name)
         self.resolve(ctx, spec)
         return self.prepare(ctx, spec).reach.toarray()
 

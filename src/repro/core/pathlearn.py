@@ -9,8 +9,13 @@ the relevance paths and their weights by some learning algorithms."
 builds the per-path HeteSim feature matrix and fits non-negative weights
 by non-negative least squares (labels as the regression target).  NNLS
 keeps the combination interpretable -- a zero weight means "this path's
-semantics do not explain the labels" -- and the result plugs straight
-into :class:`~repro.core.multipath.MultiPathHeteSim`.
+semantics do not explain the labels" -- and the result's
+:attr:`PathWeightResult.spec` plugs straight into the ``combined``
+measure (:class:`~repro.core.measures.combined.CombinedMeasure`).
+
+It differs from :func:`~repro.core.measures.combined.fit_combined_weights`
+in both input and algorithm: labelled pairs fitted by least squares
+here, ranking judgments searched over a simplex grid there.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from scipy import optimize
 from ..hin.errors import PathError, QueryError
 from ..hin.metapath import MetaPath, PathSpec
 from .engine import HeteSimEngine
-from .multipath import MultiPathHeteSim
+from .measures.combined import weights_spec
 
 __all__ = ["LabeledPair", "PathWeightResult", "learn_path_weights"]
 
@@ -55,16 +60,14 @@ class PathWeightResult:
         """The path code with the largest learned weight."""
         return max(self.weights, key=self.weights.get)
 
-    def as_measure(self, engine: HeteSimEngine) -> MultiPathHeteSim:
-        """Wrap the learned weights into a combined measure.
+    @property
+    def spec(self) -> str:
+        """The learned weights as a ``combined`` measure spec.
 
-        Paths that learned weight zero are dropped (their scores cannot
-        influence the combination).
+        Paths that learned weight zero are dropped: their scores cannot
+        influence the combination.
         """
-        nonzero = {
-            code: weight for code, weight in self.weights.items() if weight > 0
-        }
-        return MultiPathHeteSim(engine, nonzero)
+        return weights_spec(self.weights)
 
 
 def learn_path_weights(

@@ -8,36 +8,36 @@ Implements the query patterns the paper's case studies use:
 * :func:`rank_targets` -- a full ranking of the target type, used by the
   AUC evaluation (Table 5) and the rank-difference study (Fig. 6).
 
-The single-source fast path only propagates one sparse row through the
-left half of the path (Section 4.6's pruning discussion: candidates are
-exactly the targets whose backward distribution overlaps the source's
-forward distribution; everything else scores 0 and is never touched).
+:func:`select_top_k` is the only code that turns scores into a ranking;
+the search functions are thin callers of it and of the HeteSim measure
+plugin's prepared state.  Every ``k`` clamps like a slice: ``k <= 0``
+gives an empty list, an oversized ``k`` the full ranking.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
 from ..hin.errors import QueryError
 from ..hin.graph import HeteroGraph
 from ..hin.metapath import MetaPath
-from .hetesim import half_reach_matrices, hetesim_all_targets, hetesim_matrix
+from .hetesim import hetesim_context
 
 __all__ = [
     "select_top_k",
     "top_k_targets",
     "top_k_pairs",
-    "top_k_pairs_sparse",
     "rank_targets",
 ]
 
 
 def select_top_k(
-    scores: np.ndarray, keys: Sequence[str], k: int
-) -> List[Tuple[str, float]]:
+    scores: np.ndarray, keys: Sequence[Any], k: int
+) -> List[Tuple[Any, float]]:
     """The ``k`` best ``(key, score)`` pairs under the ``(-score, key)``
     order, *without* sorting the full score vector.
 
@@ -55,6 +55,11 @@ def select_top_k(
     in the deterministic ``(-score, key)`` order -- the slice
     semantics of ``rank(...)[:k]``, which a serving tier can rely on
     for edge-case requests instead of turning them into errors.
+
+    ``keys`` may be any sequence of mutually comparable keys; it is
+    indexed only for the selected and the tied candidates, so a lazy
+    sequence (as :func:`top_k_pairs` passes) never materialises the
+    keys of unselected entries.
     """
     scores = np.asarray(scores, dtype=float).ravel()
     n = scores.size
@@ -74,14 +79,28 @@ def select_top_k(
         # with the smallest keys.
         block = np.argpartition(-scores, take - 1)[:take]
         kth_score = float(scores[block].min())
-        above = np.nonzero(scores > kth_score)[0]
+        # Every score above the k-th lies inside the partitioned block;
+        # ties with it may lie anywhere.
+        above = block[scores[block] > kth_score]
         tied = np.nonzero(scores == kth_score)[0]
         need = take - above.size
-        chosen = list(above) + heapq.nsmallest(
+        chosen = above.tolist() + heapq.nsmallest(
             need, tied.tolist(), key=lambda i: keys[i]
         )
-    chosen.sort(key=lambda i: (-scores[i], keys[i]))
-    return [(keys[i], float(scores[i])) for i in chosen]
+    ranked = sorted(
+        zip(scores[chosen].tolist(), chosen),
+        key=lambda item: (-item[0], keys[item[1]]),
+    )
+    return [(keys[i], score) for score, i in ranked]
+
+
+def _bounded(limits):
+    """An execution scope enforcing ``limits`` (no-op for None)."""
+    if limits is None:
+        return contextlib.nullcontext()
+    from ..runtime.limits import execution_scope
+
+    return execution_scope(tracker=limits.tracker())
 
 
 def rank_targets(
@@ -109,20 +128,9 @@ def rank_targets(
     :attr:`HeteSimEngine.cache <repro.core.engine.HeteSimEngine>` or a
     standalone cache.
     """
-    if limits is not None:
-        from ..runtime.limits import execution_scope
-
-        with execution_scope(tracker=limits.tracker()):
-            return rank_targets(
-                graph, path, source_key, normalized=normalized,
-                cache=cache,
-            )
-    scores = hetesim_all_targets(
-        graph, path, source_key, normalized=normalized, cache=cache
-    )
-    keys = graph.node_keys(path.target_type.name)
-    order = sorted(range(len(keys)), key=lambda i: (-scores[i], keys[i]))
-    return [(keys[i], float(scores[i])) for i in order]
+    measure, ctx = hetesim_context(graph, cache)
+    with _bounded(limits):
+        return measure.rank(ctx, path, source_key, normalized=normalized)
 
 
 def top_k_targets(
@@ -136,28 +144,32 @@ def top_k_targets(
 ) -> List[Tuple[str, float]]:
     """The ``k`` most relevant target objects for ``source_key``.
 
-    Selection-based: the score vector is computed once and the top
-    block is isolated with :func:`select_top_k` (argpartition plus a
-    sort of just ``k`` candidates), never sorting the full target axis.
-    The result is element-wise identical to ``rank_targets(...)[:k]``,
-    including the deterministic key-order tie-break.  ``limits`` and
-    ``cache`` behave as in :func:`rank_targets`.
+    Element-wise identical to ``rank_targets(...)[:k]``, including the
+    deterministic key-order tie-break, without sorting the full target
+    axis.  ``k`` clamps like a slice.  ``limits`` and ``cache`` behave
+    as in :func:`rank_targets`.
     """
-    if k < 1:
-        raise QueryError(f"k must be >= 1, got {k}")
-    if limits is not None:
-        from ..runtime.limits import execution_scope
+    measure, ctx = hetesim_context(graph, cache)
+    with _bounded(limits):
+        return measure.top_k(
+            ctx, path, source_key, k=k, normalized=normalized
+        )
 
-        with execution_scope(tracker=limits.tracker()):
-            return top_k_targets(
-                graph, path, source_key, k=k, normalized=normalized,
-                cache=cache,
-            )
-    scores = hetesim_all_targets(
-        graph, path, source_key, normalized=normalized, cache=cache
-    )
-    keys = graph.node_keys(path.target_type.name)
-    return select_top_k(scores, keys, k)
+
+class _PairKeys(Sequence):
+    """``(source, target)`` keys of a flattened score matrix, built on
+    demand so :func:`select_top_k` only materialises the ones it reads."""
+
+    def __init__(self, sources: List[str], targets: List[str]) -> None:
+        self.sources = sources
+        self.targets = targets
+
+    def __len__(self) -> int:
+        return len(self.sources) * len(self.targets)
+
+    def __getitem__(self, flat):
+        source, target = divmod(int(flat), len(self.targets))
+        return self.sources[source], self.targets[target]
 
 
 def top_k_pairs(
@@ -168,78 +180,21 @@ def top_k_pairs(
 ) -> List[Tuple[str, str, float]]:
     """The ``k`` strongest (source, target, score) triples under ``path``.
 
-    Computes the full relevance matrix, so intended for moderate type
-    sizes (the off-line regime of Section 4.6).
+    Ordered by ``(-score, source, target)``; the result is a prefix of
+    that full order even when pairs tie at the ``k``-th score.  ``k``
+    clamps like a slice.  Computes the full relevance matrix, so
+    intended for moderate type sizes (the off-line regime of Section
+    4.6).
     """
     if k < 1:
-        raise QueryError(f"k must be >= 1, got {k}")
-    matrix = hetesim_matrix(graph, path, normalized=normalized)
-    source_keys = graph.node_keys(path.source_type.name)
-    target_keys = graph.node_keys(path.target_type.name)
-    flat = matrix.ravel()
-    take = min(k, flat.size)
-    # argpartition for the top chunk, then exact sort within it.
-    candidate_idx = np.argpartition(-flat, take - 1)[:take]
-    n_targets = len(target_keys)
-    triples = [
-        (
-            source_keys[int(idx) // n_targets],
-            target_keys[int(idx) % n_targets],
-            float(flat[idx]),
-        )
-        for idx in candidate_idx
-    ]
-    triples.sort(key=lambda item: (-item[2], item[0], item[1]))
-    return triples
-
-
-def top_k_pairs_sparse(
-    graph: HeteroGraph,
-    path: MetaPath,
-    k: int = 10,
-    normalized: bool = True,
-) -> List[Tuple[str, str, float]]:
-    """The ``k`` strongest pairs without materialising the dense matrix.
-
-    Computes ``PM_PL @ PM_PR'`` as a *sparse* product -- only pairs with
-    non-zero meeting probability ever exist -- then takes the top-k of
-    the stored values.  Equivalent to :func:`top_k_pairs` whenever at
-    least ``k`` pairs have positive scores (zero-score pairs can only
-    matter when fewer do); the memory high-water mark is the number of
-    connected pairs instead of ``n_src * n_tgt``.
-    """
-    if k < 1:
-        raise QueryError(f"k must be >= 1, got {k}")
-    from ..hin.matrices import safe_reciprocal
-
-    left, right = half_reach_matrices(graph, path)
-    product = (left @ right.T).tocoo()
-    values = product.data.astype(float)
-    if normalized:
-        left_norms = np.sqrt(
-            np.asarray(left.multiply(left).sum(axis=1))
-        ).ravel()
-        right_norms = np.sqrt(
-            np.asarray(right.multiply(right).sum(axis=1))
-        ).ravel()
-        values = (
-            values
-            * safe_reciprocal(left_norms)[product.row]
-            * safe_reciprocal(right_norms)[product.col]
-        )
-    source_keys = graph.node_keys(path.source_type.name)
-    target_keys = graph.node_keys(path.target_type.name)
-    take = min(k, values.size)
-    if take == 0:
         return []
-    top = np.argpartition(-values, take - 1)[:take]
-    triples = [
-        (
-            source_keys[int(product.row[idx])],
-            target_keys[int(product.col[idx])],
-            float(values[idx]),
-        )
-        for idx in top
+    measure, ctx = hetesim_context(graph)
+    matrix = measure.matrix(ctx, path, normalized=normalized)
+    keys = _PairKeys(
+        graph.node_keys(path.source_type.name),
+        graph.node_keys(path.target_type.name),
+    )
+    return [
+        (source, target, score)
+        for (source, target), score in select_top_k(matrix.ravel(), keys, k)
     ]
-    triples.sort(key=lambda item: (-item[2], item[0], item[1]))
-    return triples

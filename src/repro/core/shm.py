@@ -46,6 +46,7 @@ from scipy import sparse
 
 from ..hin.errors import QueryError
 from ..obs.metrics import REGISTRY
+from .hetesim import Halves
 
 __all__ = [
     "ArraySpec",
@@ -102,13 +103,6 @@ class CSRManifest:
     data: ArraySpec
     indices: ArraySpec
     indptr: ArraySpec
-
-
-#: The engine's in-memory halves tuple ``(left, right, left_norms,
-#: right_norms)``; ``right is left`` for symmetric paths.
-HalvesTuple = Tuple[
-    sparse.csr_matrix, sparse.csr_matrix, np.ndarray, np.ndarray
-]
 
 
 @dataclass(frozen=True)
@@ -340,7 +334,7 @@ def attach_csr(
     )
 
 
-def publish_halves(halves: HalvesTuple, lease: ShmLease) -> HalvesManifest:
+def publish_halves(halves: Halves, lease: ShmLease) -> HalvesManifest:
     """Publish one engine halves tuple under ``lease``.
 
     ``halves`` is the engine's ``(left, right, left_norms,
@@ -360,7 +354,7 @@ def publish_halves(halves: HalvesTuple, lease: ShmLease) -> HalvesManifest:
 
 def attach_halves(
     manifest: HalvesManifest, lease: ShmLease, copy: bool = False
-) -> HalvesTuple:
+) -> Halves:
     """Reattach a published halves tuple.
 
     ``copy=False`` (worker side): zero-copy views valid while

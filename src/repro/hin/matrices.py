@@ -43,10 +43,12 @@ def safe_reciprocal(values: np.ndarray) -> np.ndarray:
     or zero-norm reach distributions, and their scores are defined as 0
     rather than NaN.
     """
-    result = np.zeros_like(values, dtype=np.float64)
-    positive = values > 0
-    result[positive] = 1.0 / values[positive]
-    return result
+    return np.divide(
+        1.0,
+        values,
+        out=np.zeros_like(values, dtype=np.float64),
+        where=values > 0,
+    )
 
 
 def row_normalize(matrix: sparse.spmatrix) -> sparse.csr_matrix:

@@ -4,7 +4,7 @@ Supervised path selection (§5.1) is only trustworthy if the learned
 weights generalise; this module provides the standard k-fold harness:
 split the labelled pairs, fit weights on each training fold
 (:func:`repro.core.pathlearn.learn_path_weights`), and score the held-out
-fold's pairs with the resulting combined measure (AUC).
+fold's pairs with the ``combined`` measure over the fitted weights (AUC).
 """
 
 from __future__ import annotations
@@ -64,7 +64,10 @@ def cross_validate_path_weights(
     seed:
         Shuffling seed (deterministic splits per seed).
     """
+    from ..core.measures import get_measure
     from ..core.pathlearn import learn_path_weights
+
+    combined = get_measure("combined")
 
     pairs = list(labeled_pairs)
     if folds < 2:
@@ -95,8 +98,10 @@ def cross_validate_path_weights(
         labels = [label for _, _, label in test]
         if len(set(labels)) < 2:
             continue  # AUC undefined on a single-class fold
-        measure = result.as_measure(engine)
-        scores = [measure.relevance(s, t) for s, t, _ in test]
+        scores = [
+            combined.pair(engine.measures, result.spec, s, t)
+            for s, t, _ in test
+        ]
         fold_aucs.append(auc_score(labels, scores))
 
     mean_weights = {

@@ -33,13 +33,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 
-from ..core.backend import materialise
 from ..core.engine import HeteSimEngine
+from ..core.hetesim import row_norms
 from ..core.lowrank import LowRankHeteSim
-from ..core.pruning import _drop_smallest_mass
+from ..core.measures import HeteSimPrepared, get_measure
+from ..core.search import select_top_k
 from ..hin.errors import QueryError, ResourceLimitError
 from ..hin.graph import HeteroGraph
-from ..hin.matrices import row_normalize, safe_reciprocal
 from ..hin.metapath import MetaPath, PathSpec
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span as trace_span
@@ -83,6 +83,12 @@ class Strategy:
     prune_mass: float = 0.0
     rank: int = 8
     enforced: bool = True
+
+    def __post_init__(self) -> None:
+        if self.prune_mass < 0:
+            raise QueryError(
+                f"prune_mass must be >= 0, got {self.prune_mass}"
+            )
 
 
 #: The default ladder: exact, then §4.6-style truncation, pruning and
@@ -164,19 +170,29 @@ class DegradedResult:
         return note
 
 
-def _cosine_pair(
-    left_row: sparse.csr_matrix,
-    right_row: sparse.csr_matrix,
-    normalized: bool,
-) -> float:
-    dot = float((left_row @ right_row.T).toarray()[0, 0])
-    if not normalized:
-        return dot
-    left_norm = sparse.linalg.norm(left_row)
-    right_norm = sparse.linalg.norm(right_row)
-    if left_norm == 0 or right_norm == 0:
-        return 0.0
-    return dot / (left_norm * right_norm)
+def _drop_smallest_mass(
+    row: sparse.csr_matrix, mass: float
+) -> Tuple[sparse.csr_matrix, float]:
+    """Zero a forward row's smallest entries while their sum stays
+    under ``mass``; returns the pruned row and the mass dropped.
+
+    Each unit of dropped forward mass moves a raw meeting probability
+    by at most itself (backward rows are substochastic), so the raw
+    score error is bounded by the mass dropped (§4.6 pruning).
+    """
+    data = row.data.copy()
+    dropped = 0.0
+    for index in np.argsort(data, kind="stable"):
+        value = float(data[index])
+        if dropped + value >= mass:
+            break
+        dropped += value
+        data[index] = 0.0
+    pruned = sparse.csr_matrix(
+        (data, row.indices.copy(), row.indptr.copy()), shape=row.shape
+    )
+    pruned.eliminate_zeros()
+    return pruned, dropped
 
 
 class ResilientRuntime:
@@ -272,24 +288,12 @@ class ResilientRuntime:
                     ),
                     accuracy,
                 )
-            if strategy.name == "exact":
-                return (
-                    self.engine.relevance(
-                        source_key, target_key, meta, normalized=normalized
-                    ),
-                    {},
-                )
-            left, right = self._degraded_halves(meta)
-            i = self._resolve(meta.source_type.name, source_key)
-            j = self._resolve(meta.target_type.name, target_key)
-            left_row, dropped = self._pruned_row(
-                left.getrow(i), strategy.prune_mass
+            prepared, row, accuracy = self._prepared(
+                meta, source_key, strategy
             )
-            accuracy = (
-                {"dropped_forward_mass": dropped} if strategy.prune_mass else {}
-            )
+            col = prepared.ctx.node_index(meta.target_type.name, target_key)
             return (
-                _cosine_pair(left_row, right.getrow(j), normalized),
+                prepared.score_pair(row, col, normalized=normalized),
                 accuracy,
             )
 
@@ -323,39 +327,14 @@ class ResilientRuntime:
                     approx.top_k(source_key, k=k, normalized=normalized),
                     accuracy,
                 )
-            if strategy.name == "exact":
-                return (
-                    self.engine.top_k(
-                        source_key, meta, k=k, normalized=normalized
-                    ),
-                    {},
-                )
-            left, right = self._degraded_halves(meta)
-            i = self._resolve(meta.source_type.name, source_key)
-            left_row, dropped = self._pruned_row(
-                left.getrow(i), strategy.prune_mass
+            prepared, row, accuracy = self._prepared(
+                meta, source_key, strategy
             )
-            scores = (left_row @ right.T).toarray().ravel()
-            if normalized:
-                left_norm = sparse.linalg.norm(left_row)
-                if left_norm == 0:
-                    scores = np.zeros_like(scores)
-                else:
-                    right_norms = np.sqrt(
-                        np.asarray(right.multiply(right).sum(axis=1))
-                    ).ravel()
-                    scores = scores * (
-                        safe_reciprocal(right_norms) / left_norm
-                    )
-            keys = self.graph.node_keys(meta.target_type.name)
-            order = sorted(
-                range(len(keys)), key=lambda n: (-scores[n], keys[n])
+            scores = prepared.score_vector(row, normalized=normalized)
+            return (
+                select_top_k(scores, prepared.target_keys(), k),
+                accuracy,
             )
-            ranking = [(keys[n], float(scores[n])) for n in order[:k]]
-            accuracy = (
-                {"dropped_forward_mass": dropped} if strategy.prune_mass else {}
-            )
-            return ranking, accuracy
 
         return self._run(evaluate)
 
@@ -455,53 +434,34 @@ class ResilientRuntime:
         raise last_error
 
     # ------------------------------------------------------------------
-    # degraded materialisation helpers
+    # rung helpers
     # ------------------------------------------------------------------
-    def _degraded_halves(
-        self, meta: MetaPath
-    ) -> Tuple[sparse.csr_matrix, sparse.csr_matrix]:
-        """Half matrices via the planner, reading -- never writing -- the
-        engine's cache.
+    def _prepared(
+        self, meta: MetaPath, source_key: str, strategy: Strategy
+    ) -> Tuple[HeteSimPrepared, int, Dict[str, float]]:
+        """The HeteSim prepared state a halves rung scores from.
 
-        Exact prefixes the failed attempt already seeded are reused
-        (cached-prefix truncation), but truncated products are never
-        stored, so degraded attempts cannot poison exact queries.
+        Runs inside the rung's execution scope, so the engine memo
+        serves exact halves when it has them and otherwise builds them
+        under the rung's truncation (never memoised or cached).  The
+        prune rung then scores a single pruned forward row instead of
+        the source's full one.
         """
-        graph = self.graph
-        cache = self.engine.cache
-        split = meta.halves()
-        if not split.needs_edge_object:
-            left, _ = materialise(graph, split.left, cache=cache)
-            if split.right.reverse() == split.left:
-                right = left
-            else:
-                right, _ = materialise(
-                    graph, split.right.reverse(), cache=cache
-                )
-            return left, right
-
-        from ..hin.decomposition import decompose_adjacency
-
-        middle = split.middle_relation
-        w_ae, w_eb = decompose_adjacency(graph.adjacency(middle.name))
-        into_forward = row_normalize(w_ae)
-        into_backward = row_normalize(w_eb.T)
-        if split.left is None:
-            left = into_forward
-        else:
-            left, _ = materialise(
-                graph, split.left, cache=cache, extra_right=into_forward
-            )
-        if split.right is None:
-            right = into_backward
-        else:
-            right, _ = materialise(
-                graph,
-                split.right.reverse(),
-                cache=cache,
-                extra_right=into_backward,
-            )
-        return left.tocsr(), right.tocsr()
+        ctx = self.engine.measures
+        prepared = get_measure("hetesim").prepare(ctx, meta)
+        row = ctx.node_index(meta.source_type.name, source_key)
+        if strategy.prune_mass <= 0:
+            return prepared, row, {}
+        forward, dropped = _drop_smallest_mass(
+            prepared.left.getrow(row), strategy.prune_mass
+        )
+        pruned = HeteSimPrepared(
+            ctx,
+            prepared.shape,
+            (forward, prepared.right, row_norms(forward),
+             prepared.right_norms),
+        )
+        return pruned, 0, {"dropped_forward_mass": dropped}
 
     def _lowrank(
         self, meta: MetaPath, strategy: Strategy
@@ -512,20 +472,3 @@ class ResilientRuntime:
             "captured_energy": approx.captured_energy,
         }
         return approx, accuracy
-
-    def _pruned_row(
-        self, row: sparse.csr_matrix, prune_mass: float
-    ) -> Tuple[sparse.csr_matrix, float]:
-        if prune_mass <= 0:
-            return row, 0.0
-        dense = row.toarray().ravel()
-        pruned, dropped = _drop_smallest_mass(dense, prune_mass)
-        return sparse.csr_matrix(pruned), dropped
-
-    def _resolve(self, type_name: str, key: str) -> int:
-        try:
-            return self.graph.node_index(type_name, key)
-        except Exception as exc:
-            raise QueryError(
-                f"object {key!r} is not a {type_name!r} node: {exc}"
-            ) from exc

@@ -227,29 +227,26 @@ def _score_shard_task(
 ) -> Tuple[Dict[bool, np.ndarray], int]:
     """Score one row shard against published halves.
 
-    Reattaches the halves zero-copy, runs the same
-    :func:`~repro.core.measures.hetesim.raw_block` /
-    :func:`~repro.core.measures.hetesim.normalise_block` code the
-    in-process tier uses (bit-identical by row independence of CSR
-    matmul), and returns dense blocks -- plain arrays, safe to pickle
-    back after the shared mappings close.
+    Reattaches the halves zero-copy and scores them through
+    :meth:`~repro.core.measures.hetesim.HeteSimPrepared.score_rows`,
+    the code the in-process tier runs (bit-identical by row
+    independence of CSR matmul; one GEMM serves every flag), and
+    returns dense blocks -- plain arrays, safe to pickle back after the
+    shared mappings close.
     """
-    from ..core.measures.hetesim import normalise_block, raw_block
+    from ..core.measures.hetesim import HeteSimPrepared
 
     manifest, rows, flags = payload
     with ShmLease(owner=False) as lease:
-        left, right, left_norms, right_norms = attach_halves(
-            manifest, lease
+        # A shard only scores rows, so it needs no measure context.
+        prepared = HeteSimPrepared(
+            None, None, attach_halves(manifest, lease)
         )
-        block, nnz = raw_block(left, right, rows)
-        blocks: Dict[bool, np.ndarray] = {}
-        for flag in flags:
-            blocks[flag] = (
-                normalise_block(block, rows, left_norms, right_norms)
-                if flag
-                else block
-            )
-    return blocks, nnz
+        blocks = {
+            flag: prepared.score_rows(rows, normalized=flag)
+            for flag in flags
+        }
+    return blocks, prepared.last_block_nnz
 
 
 _TASKS: Dict[str, Callable] = {
@@ -523,13 +520,15 @@ def _unlink_manifest(manifest: HalvesManifest) -> None:
                 pass
 
 
-def _adopt_manifest(engine, meta, manifest: HalvesManifest) -> None:
-    """Copy worker-published halves into the engine memo and unlink."""
+def _adopt_manifest(engine, meta, manifest: HalvesManifest):
+    """Copy worker-published halves into the engine memo and unlink;
+    returns the copied halves."""
     key = tuple(relation.name for relation in meta.relations)
     signature = engine.graph.relations_signature(key)
     with ShmLease(owner=True) as lease:
         halves = attach_halves(manifest, lease, copy=True)
     engine.adopt_halves(key, signature, halves)
+    return halves
 
 
 def warm_via_processes(engine, metas, workers: int) -> int:
@@ -604,15 +603,16 @@ def _score_hetesim_group(server, pool, group, workers: int):
         size=len(group.members),
         backend="process",
     ) as group_span:
-        if not engine.has_halves(meta):
+        if engine.has_halves(meta):
+            halves = engine.halves(meta)
+        else:
             # Cold group: the materialisation GEMM itself runs in a
             # worker (limits and fault sites fire there), then the
             # parent adopts the published halves.
             manifests = pool.map(
                 [("warm", meta.code())], cleanup=_unlink_manifest
             )
-            _adopt_manifest(engine, meta, manifests[0])
-        halves = engine.halves(meta)
+            halves = _adopt_manifest(engine, meta, manifests[0])
 
         rows = sorted({row for _, _, row in group.members})
         flags = tuple(

@@ -116,5 +116,8 @@ class TestValidation:
             approx.relevance("ghost", "peer-author-1")
         with pytest.raises(QueryError):
             approx.top_k("ghost")
-        with pytest.raises(QueryError):
-            approx.top_k("KDD-star", k=0)
+        # k clamps like a slice instead of raising.
+        assert approx.top_k("KDD-star", k=0) == []
+        assert len(approx.top_k("KDD-star", k=10_000)) == len(
+            acm.graph.node_keys(acm_path.target_type.name)
+        )

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.engine import HeteSimEngine
-from repro.core.pathlearn import learn_path_weights
+from repro.core.measures import get_measure, parse_combined_spec
+from repro.core.pathlearn import PathWeightResult, learn_path_weights
 from repro.hin.errors import PathError, QueryError
 
 
@@ -53,15 +54,15 @@ class TestLearning:
     def test_as_measure_round_trip(self, engine, fig4):
         pairs = direct_publication_labels(fig4)
         result = learn_path_weights(engine, ["APC", "APAPC"], pairs)
-        measure = result.as_measure(engine)
+        combined = get_measure("combined")
+
+        def score(s, t):
+            return combined.pair(engine.measures, result.spec, s, t)
+
         # The learned measure must separate the labelled classes on
         # average.
-        positives = [
-            measure.relevance(s, t) for s, t, label in pairs if label == 1
-        ]
-        negatives = [
-            measure.relevance(s, t) for s, t, label in pairs if label == 0
-        ]
+        positives = [score(s, t) for s, t, label in pairs if label == 1]
+        negatives = [score(s, t) for s, t, label in pairs if label == 0]
         assert sum(positives) / len(positives) > sum(negatives) / len(
             negatives
         )
@@ -69,8 +70,18 @@ class TestLearning:
     def test_as_measure_drops_zero_weight_paths(self, engine, fig4):
         pairs = direct_publication_labels(fig4)
         result = learn_path_weights(engine, ["APC", "APAPC"], pairs)
-        measure = result.as_measure(engine)
-        assert all(w > 0 for w in measure.weights.values())
+        components = parse_combined_spec(engine.measures, result.spec)
+        assert [meta.code() for meta, _ in components] == [
+            code for code, weight in result.weights.items() if weight > 0
+        ]
+        for meta, weight in components:
+            assert weight == pytest.approx(result.weights[meta.code()])
+        zero = PathWeightResult(
+            weights={"APC": 1.0, "APAPC": 0.0},
+            raw_weights={"APC": 2.0, "APAPC": 0.0},
+            residual=0.0,
+        )
+        assert zero.spec == "APC=1.0"
 
 
 class TestValidation:

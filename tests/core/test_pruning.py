@@ -1,10 +1,25 @@
-"""Unit tests for pruned top-k search (Section 4.6, item 3)."""
+"""Pruned top-k search (Section 4.6, item 3) on the ladder's prune rung.
+
+The prune rung of :class:`~repro.runtime.resilience.ResilientRuntime`
+drops the smallest entries of the query's forward distribution, up to
+``prune_mass`` of probability, before scoring.  Each unit of dropped
+mass moves a raw meeting probability by at most itself, so raw scores
+stay within the reported ``dropped_forward_mass`` of exact.
+"""
 
 import pytest
 
 from repro.core.engine import HeteSimEngine
-from repro.core.pruning import pruned_top_k
 from repro.hin.errors import QueryError
+from repro.runtime.resilience import ResilientRuntime, Strategy
+
+
+def prune_rung(graph, mass=0.0):
+    """A runtime whose only strategy is an unenforced prune rung."""
+    return ResilientRuntime(
+        graph,
+        policy=(Strategy("prune", prune_mass=mass, enforced=False),),
+    )
 
 
 class TestExactMode:
@@ -13,35 +28,35 @@ class TestExactMode:
         engine = HeteSimEngine(graph)
         path = graph.schema.path("APVC")
         hub = acm.personas["hub_author"]
-        pruned = pruned_top_k(graph, path, hub, k=5)
-        exact = engine.top_k(hub, path, k=5)
-        assert pruned.is_exact
-        assert [k for k, _ in pruned.ranking] == [k for k, _ in exact]
-        for (_, a), (_, b) in zip(pruned.ranking, exact):
-            assert a == pytest.approx(b, abs=1e-12)
+        result = prune_rung(graph).top_k(hub, path, k=5)
+        assert result.strategy == "prune"
+        assert "dropped_forward_mass" not in result.accuracy
+        assert result.value == engine.top_k(hub, path, k=5)
 
     def test_reports_pruning_statistics(self, acm):
         graph = acm.graph
         path = graph.schema.path("APVC")
         young = acm.personas["young_sigir"]
-        result = pruned_top_k(graph, path, young, k=5)
-        assert result.candidates_total == graph.num_nodes("conference")
-        assert 0 < result.candidates_scored <= result.candidates_total
-        assert 0 <= result.pruning_ratio < 1
+        result = prune_rung(graph, mass=0.05).top_k(young, path, k=5)
+        assert result.strategy == "prune" and not result.degraded
+        assert 0 <= result.accuracy["dropped_forward_mass"] < 0.05
+        assert [a.strategy for a in result.attempts] == ["prune"]
 
     def test_prunes_most_candidates_for_focused_author(self, acm):
         """A one-conference author overlaps few conferences: most targets
-        are never scored -- the paper's 'very small percentage' claim."""
+        score 0 -- the paper's 'very small percentage' claim."""
         graph = acm.graph
         path = graph.schema.path("APVC")
         young = acm.personas["young_sigcomm"]
-        result = pruned_top_k(graph, path, young, k=3)
-        assert result.pruning_ratio > 0.5
+        n_targets = graph.num_nodes("conference")
+        ranking = prune_rung(graph).top_k(young, path, k=n_targets).value
+        zero = sum(1 for _, score in ranking if score == 0.0)
+        assert zero / n_targets > 0.5
 
     def test_raw_mode(self, fig4):
         path = fig4.schema.path("APC")
-        result = pruned_top_k(fig4, path, "Tom", k=1, normalized=False)
-        assert result.ranking[0] == ("KDD", pytest.approx(0.5))
+        result = prune_rung(fig4).top_k("Tom", path, k=1, normalized=False)
+        assert result.value[0] == ("KDD", pytest.approx(0.5))
 
 
 class TestMassPruning:
@@ -49,24 +64,23 @@ class TestMassPruning:
         graph = acm.graph
         path = graph.schema.path("APVC")
         hub = acm.personas["hub_author"]
-        result = pruned_top_k(graph, path, hub, k=5, mass_tolerance=0.05)
-        assert 0 < result.dropped_mass < 0.05
-        assert not result.is_exact
+        result = prune_rung(graph, mass=0.05).top_k(hub, path, k=5)
+        assert 0 < result.accuracy["dropped_forward_mass"] < 0.05
 
     def test_top1_stable_under_small_threshold(self, acm):
         graph = acm.graph
         path = graph.schema.path("APVC")
         hub = acm.personas["hub_author"]
-        exact = pruned_top_k(graph, path, hub, k=1)
-        approx = pruned_top_k(graph, path, hub, k=1, mass_tolerance=0.01)
-        assert approx.ranking[0][0] == exact.ranking[0][0]
+        exact = prune_rung(graph).top_k(hub, path, k=1).value
+        approx = prune_rung(graph, mass=0.01).top_k(hub, path, k=1).value
+        assert approx[0][0] == exact[0][0]
 
     def test_scores_stay_in_unit_interval(self, acm):
         graph = acm.graph
         path = graph.schema.path("APVC")
         hub = acm.personas["hub_author"]
-        result = pruned_top_k(graph, path, hub, k=14, mass_tolerance=0.05)
-        for _, score in result.ranking:
+        result = prune_rung(graph, mass=0.05).top_k(hub, path, k=14)
+        for _, score in result.value:
             assert -1e-12 <= score <= 1 + 1e-9
 
     def test_raw_error_bounded_by_dropped_mass(self, acm):
@@ -74,34 +88,35 @@ class TestMassPruning:
         path = graph.schema.path("APVC")
         hub = acm.personas["hub_author"]
         exact = dict(
-            pruned_top_k(graph, path, hub, k=14, normalized=False).ranking
+            HeteSimEngine(graph).top_k(hub, path, k=14, normalized=False)
         )
-        approx = pruned_top_k(
-            graph, path, hub, k=14, normalized=False, mass_tolerance=0.03
+        approx = prune_rung(graph, mass=0.03).top_k(
+            hub, path, k=14, normalized=False
         )
-        for key, score in approx.ranking:
-            assert abs(score - exact[key]) <= approx.dropped_mass + 1e-12
+        dropped = approx.accuracy["dropped_forward_mass"]
+        assert dropped > 0
+        for key, score in approx.value:
+            assert abs(score - exact[key]) <= dropped + 1e-12
 
 
 class TestValidation:
     def test_bad_k(self, fig4):
+        # k clamps like a slice instead of raising.
         path = fig4.schema.path("APC")
-        with pytest.raises(QueryError):
-            pruned_top_k(fig4, path, "Tom", k=0)
+        assert prune_rung(fig4).top_k("Tom", path, k=0).value == []
 
     def test_negative_tolerance(self, fig4):
-        path = fig4.schema.path("APC")
         with pytest.raises(QueryError):
-            pruned_top_k(fig4, path, "Tom", mass_tolerance=-0.1)
+            Strategy("prune", prune_mass=-0.1, enforced=False)
 
     def test_unknown_source(self, fig4):
         path = fig4.schema.path("APC")
         with pytest.raises(QueryError):
-            pruned_top_k(fig4, path, "ghost")
+            prune_rung(fig4).top_k("ghost", path)
 
     def test_dangling_source(self, fig4):
         fig4.add_node("author", "lurker")
         path = fig4.schema.path("APC")
-        result = pruned_top_k(fig4, path, "lurker", k=2)
-        assert result.candidates_scored == 0
-        assert all(score == 0.0 for _, score in result.ranking)
+        result = prune_rung(fig4, mass=0.05).top_k("lurker", path, k=2)
+        assert result.accuracy["dropped_forward_mass"] == 0.0
+        assert all(score == 0.0 for _, score in result.value)

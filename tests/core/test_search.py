@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.hetesim import hetesim_matrix
 from repro.core.search import (
     rank_targets,
     select_top_k,
@@ -99,9 +100,10 @@ class TestTopKTargets:
         assert len(results) == fig4.num_nodes("conference")
 
     def test_invalid_k(self, fig4):
+        # k clamps like a slice: nothing for k <= 0.
         path = fig4.schema.path("APC")
-        with pytest.raises(QueryError):
-            top_k_targets(fig4, path, "Tom", k=0)
+        assert top_k_targets(fig4, path, "Tom", k=0) == []
+        assert top_k_targets(fig4, path, "Tom", k=-2) == []
 
     def test_unknown_source(self, fig4):
         path = fig4.schema.path("APC")
@@ -181,52 +183,76 @@ class TestTopKPairs:
         assert len(top_k_pairs(fig4, path, k=10_000)) == total
 
     def test_invalid_k(self, fig4):
+        # k clamps like a slice: nothing for k <= 0.
         path = fig4.schema.path("APC")
-        with pytest.raises(QueryError):
-            top_k_pairs(fig4, path, k=-1)
+        assert top_k_pairs(fig4, path, k=-1) == []
+        assert top_k_pairs(fig4, path, k=0) == []
 
     def test_deterministic(self, fig4):
         path = fig4.schema.path("APC")
         assert top_k_pairs(fig4, path, k=6) == top_k_pairs(fig4, path, k=6)
 
 
-class TestTopKPairsSparse:
-    def test_matches_dense_variant(self, fig4):
-        from repro.core.search import top_k_pairs_sparse
+def full_pair_order(graph, path, normalized=True):
+    """Every (source, target, score) triple in (-score, source, target)
+    order, from the dense relevance matrix."""
+    matrix = hetesim_matrix(graph, path, normalized=normalized)
+    triples = [
+        (source, target, float(matrix[i, j]))
+        for i, source in enumerate(graph.node_keys(path.source_type.name))
+        for j, target in enumerate(graph.node_keys(path.target_type.name))
+    ]
+    return sorted(triples, key=lambda item: (-item[2], item[0], item[1]))
 
+
+class TestTopKPairsTies:
+    """Pairs tied at the k-th score resolve by (source, target), so every
+    answer is a prefix of the documented full order."""
+
+    @pytest.mark.parametrize("spec", ["APC", "APA", "CPAPC", "APCPA"])
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_every_k_is_a_prefix_of_the_full_sort(
+        self, fig4, spec, normalized
+    ):
+        path = fig4.schema.path(spec)
+        full = full_pair_order(fig4, path, normalized=normalized)
+        for k in range(1, len(full) + 2):
+            assert top_k_pairs(
+                fig4, path, k=k, normalized=normalized
+            ) == full[:k], f"k={k}"
+
+
+class TestTopKPairsSparse:
+    """top_k_pairs when few pairs connect: the zero-score tail must not
+    disturb the connected head."""
+
+    def test_matches_dense_variant(self, fig4):
         path = fig4.schema.path("APC")
-        sparse_result = top_k_pairs_sparse(fig4, path, k=4)
-        dense_result = top_k_pairs(fig4, path, k=4)
-        assert sparse_result == dense_result
+        assert top_k_pairs(fig4, path, k=4) == full_pair_order(fig4, path)[:4]
 
     def test_matches_dense_on_acm(self, acm):
-        from repro.core.search import top_k_pairs_sparse
-
         graph = acm.graph
         path = graph.schema.path("APVC")
-        assert top_k_pairs_sparse(graph, path, k=10) == top_k_pairs(
-            graph, path, k=10
-        )
+        assert top_k_pairs(graph, path, k=10) == full_pair_order(
+            graph, path
+        )[:10]
 
     def test_raw_mode(self, fig4):
-        from repro.core.search import top_k_pairs_sparse
-
         path = fig4.schema.path("APC")
-        triples = top_k_pairs_sparse(fig4, path, k=2, normalized=False)
+        triples = top_k_pairs(fig4, path, k=2, normalized=False)
         assert all(score > 0 for _, _, score in triples)
 
     def test_fewer_connected_pairs_than_k(self, fig4):
-        from repro.core.search import top_k_pairs_sparse
-
         path = fig4.schema.path("APC")
-        triples = top_k_pairs_sparse(fig4, path, k=1000)
-        # Only connected pairs are returned (zero pairs omitted).
-        assert all(score > 0 for _, _, score in triples)
-        assert len(triples) < 1000
+        triples = top_k_pairs(fig4, path, k=1000)
+        # An oversized k returns every pair, connected pairs first.
+        total = fig4.num_nodes("author") * fig4.num_nodes("conference")
+        assert len(triples) == total
+        scores = [score for _, _, score in triples]
+        connected = sum(1 for score in scores if score > 0)
+        assert 0 < connected < total
+        assert all(score > 0 for score in scores[:connected])
 
     def test_bad_k(self, fig4):
-        from repro.core.search import top_k_pairs_sparse
-
         path = fig4.schema.path("APC")
-        with pytest.raises(QueryError):
-            top_k_pairs_sparse(fig4, path, k=0)
+        assert top_k_pairs(fig4, path, k=0) == []

@@ -1,9 +1,14 @@
-"""Unit tests for the threshold-algorithm top-k search."""
+"""Exact top-k search: ``top_k_targets`` against the engine's ranking.
+
+Both entry points score through the HeteSim plugin's prepared state
+and rank with ``select_top_k``, so their answers must agree exactly --
+keys, scores and the key-order tie-break -- on every graph and ``k``.
+"""
 
 import pytest
 
 from repro.core.engine import HeteSimEngine
-from repro.core.threshold import threshold_top_k
+from repro.core.search import top_k_targets
 from repro.hin.errors import QueryError
 
 
@@ -15,25 +20,24 @@ class TestExactness:
         engine = HeteSimEngine(graph)
         path = graph.schema.path(spec)
         hub = acm.personas["hub_author"]
-        ta = threshold_top_k(graph, path, hub, k=k)
-        exact = engine.top_k(hub, path, k=k)
-        assert [key for key, _ in ta.ranking] == [key for key, _ in exact]
-        for (_, a), (_, b) in zip(ta.ranking, exact):
-            assert a == pytest.approx(b, abs=1e-10)
+        assert top_k_targets(graph, path, hub, k=k) == engine.top_k(
+            hub, path, k=k
+        )
+        assert engine.top_k(hub, path, k=k) == engine.rank(hub, path)[:k]
 
     def test_raw_mode_matches(self, acm):
         graph = acm.graph
         engine = HeteSimEngine(graph)
         path = graph.schema.path("APVC")
         young = acm.personas["young_sigir"]
-        ta = threshold_top_k(graph, path, young, k=5, normalized=False)
-        exact = engine.top_k(young, path, k=5, normalized=False)
-        assert [key for key, _ in ta.ranking] == [key for key, _ in exact]
+        assert top_k_targets(
+            graph, path, young, k=5, normalized=False
+        ) == engine.top_k(young, path, k=5, normalized=False)
 
     def test_toy_graph(self, fig4):
         path = fig4.schema.path("APC")
-        result = threshold_top_k(fig4, path, "Tom", k=2)
-        assert result.ranking[0] == ("KDD", pytest.approx(1.0))
+        ranking = top_k_targets(fig4, path, "Tom", k=2)
+        assert ranking[0] == ("KDD", pytest.approx(1.0))
 
     def test_random_graphs(self):
         from repro.datasets.random_hin import make_random_hin
@@ -50,53 +54,33 @@ class TestExactness:
             engine = HeteSimEngine(graph)
             path = graph.schema.path("APC")
             for source in graph.node_keys("author")[:3]:
-                ta = threshold_top_k(graph, path, source, k=3)
-                exact = engine.top_k(source, path, k=3)
-                assert [key for key, _ in ta.ranking] == [
-                    key for key, _ in exact
-                ], f"seed={seed} source={source}"
-
-
-class TestWorkAccounting:
-    def test_visit_counts_reported(self, acm):
-        graph = acm.graph
-        path = graph.schema.path("APVC")
-        hub = acm.personas["hub_author"]
-        result = threshold_top_k(graph, path, hub, k=1)
-        assert 0 < result.middles_visited <= result.middles_total
-        assert 0 < result.visit_ratio <= 1.0
-
-    def test_k1_on_skewed_query_can_terminate_early(self, acm):
-        """A one-conference author's mass is concentrated: the k=1 search
-        should not need the full support."""
-        graph = acm.graph
-        path = graph.schema.path("APVC")
-        young = acm.personas["young_sigcomm"]
-        result = threshold_top_k(graph, path, young, k=1, normalized=False)
-        # Not guaranteed in general, but on this planted skew it holds;
-        # guard with <= so the test documents rather than flakes.
-        assert result.middles_visited <= result.middles_total
+                assert top_k_targets(
+                    graph, path, source, k=3
+                ) == engine.top_k(source, path, k=3), (
+                    f"seed={seed} source={source}"
+                )
 
 
 class TestEdgeCases:
     def test_dangling_source(self, fig4):
         fig4.add_node("author", "lurker")
         path = fig4.schema.path("APC")
-        result = threshold_top_k(fig4, path, "lurker", k=2)
-        assert result.middles_total == 0
-        assert all(score == 0.0 for _, score in result.ranking)
+        ranking = top_k_targets(fig4, path, "lurker", k=2)
+        assert len(ranking) == 2
+        assert all(score == 0.0 for _, score in ranking)
 
     def test_k_larger_than_targets(self, fig4):
         path = fig4.schema.path("APC")
-        result = threshold_top_k(fig4, path, "Tom", k=50)
-        assert len(result.ranking) == fig4.num_nodes("conference")
+        ranking = top_k_targets(fig4, path, "Tom", k=50)
+        assert len(ranking) == fig4.num_nodes("conference")
 
     def test_bad_k(self, fig4):
+        # k clamps like a slice instead of raising.
         path = fig4.schema.path("APC")
-        with pytest.raises(QueryError):
-            threshold_top_k(fig4, path, "Tom", k=0)
+        assert top_k_targets(fig4, path, "Tom", k=0) == []
+        assert top_k_targets(fig4, path, "Tom", k=-1) == []
 
     def test_unknown_source(self, fig4):
         path = fig4.schema.path("APC")
         with pytest.raises(QueryError):
-            threshold_top_k(fig4, path, "ghost")
+            top_k_targets(fig4, path, "ghost")

@@ -1,14 +1,13 @@
-"""Property-based tests for the search extensions: threshold search,
+"""Property-based tests for the search extensions: exact top-k search,
 explanations, and subgraphs."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import HeteSimEngine
 from repro.core.explain import explain_relevance
 from repro.core.hetesim import hetesim_pair
-from repro.core.threshold import threshold_top_k
+from repro.core.search import top_k_targets
 from repro.datasets.schemas import toy_apc_schema
 from repro.hin.graph import HeteroGraph
 from repro.hin.subgraph import induced_subgraph
@@ -47,19 +46,18 @@ def apc_graphs(draw):
 
 
 class TestThresholdProperties:
+    """``top_k_targets`` returns exactly the engine's top-k: the same
+    keys, scores and tie-break."""
+
     @given(apc_graphs(), st.integers(1, 4))
     @settings(max_examples=50, deadline=None)
     def test_always_matches_exact_search(self, graph, k):
         engine = HeteSimEngine(graph)
         path = graph.schema.path("APC")
         for source in graph.node_keys("author")[:2]:
-            ta = threshold_top_k(graph, path, source, k=k)
-            exact = engine.top_k(source, path, k=k)
-            assert [key for key, _ in ta.ranking] == [
-                key for key, _ in exact
-            ]
-            for (_, a), (_, b) in zip(ta.ranking, exact):
-                assert a == pytest.approx(b, abs=1e-10)
+            assert top_k_targets(graph, path, source, k=k) == engine.top_k(
+                source, path, k=k
+            )
 
     @given(apc_graphs())
     @settings(max_examples=50, deadline=None)
@@ -67,9 +65,9 @@ class TestThresholdProperties:
         engine = HeteSimEngine(graph)
         path = graph.schema.path("APC")
         source = graph.node_keys("author")[0]
-        ta = threshold_top_k(graph, path, source, k=3, normalized=False)
-        exact = engine.top_k(source, path, k=3, normalized=False)
-        assert [key for key, _ in ta.ranking] == [key for key, _ in exact]
+        assert top_k_targets(
+            graph, path, source, k=3, normalized=False
+        ) == engine.top_k(source, path, k=3, normalized=False)
 
 
 class TestExplainProperties:

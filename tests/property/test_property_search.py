@@ -1,23 +1,26 @@
 """Property-based tests for search, pruning, multi-path, and the store."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.cache import PathMatrixCache
 from repro.core.engine import HeteSimEngine
-from repro.core.multipath import MultiPathHeteSim
-from repro.core.pruning import pruned_top_k
+from repro.core.hetesim import hetesim_pair
+from repro.core.measures import MeasureContext, get_measure
+from repro.core.search import rank_targets, top_k_targets
 from repro.datasets.schemas import toy_apc_schema
 from repro.hin.graph import HeteroGraph
+from repro.runtime.resilience import ResilientRuntime, Strategy
+from repro.serve.batch import BatchRequest, Query, QueryServer
 
 MAX_N = 6
 
 
 @st.composite
-def apc_graphs(draw):
+def apc_graphs(draw, max_n=MAX_N):
     """A random author-paper-conference graph with no isolated papers."""
-    n_a = draw(st.integers(2, MAX_N))
-    n_p = draw(st.integers(2, MAX_N))
+    n_a = draw(st.integers(2, max_n))
+    n_p = draw(st.integers(2, max_n))
     n_c = draw(st.integers(2, 4))
     writes = draw(
         st.sets(
@@ -44,47 +47,153 @@ def apc_graphs(draw):
     return graph
 
 
+#: Even (APC, APA, CPAPC) and odd (AP, APCP) paths; odd ones split
+#: their middle relation through edge objects.
+PATHS = st.sampled_from(["APC", "APA", "CPAPC", "AP", "APCP"])
+
+
+class TestEveryEntryPointAgrees:
+    """Every HeteSim entry point scores through the plugin's prepared
+    state and ranks with select_top_k, so for one ``(source, path, k)``
+    they all return the identical ``(key, score)`` list, and every pair
+    scorer returns exactly the score row's entry."""
+
+    @given(apc_graphs(max_n=16), PATHS, st.integers(1, 8), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_top_k_lists_identical(self, graph, spec, k, normalized):
+        engine = HeteSimEngine(graph)
+        path = graph.schema.path(spec)
+        hetesim = get_measure("hetesim")
+        for source in graph.node_keys(path.source_type.name)[:2]:
+            expected = engine.top_k(source, spec, k=k, normalized=normalized)
+            assert len(expected) == min(
+                k, graph.num_nodes(path.target_type.name)
+            )
+            candidates = {
+                "engine.rank": engine.rank(
+                    source, spec, normalized=normalized
+                )[:k],
+                "top_k_targets": top_k_targets(
+                    graph, path, source, k=k, normalized=normalized
+                ),
+                "top_k_targets(cache)": top_k_targets(
+                    graph, path, source, k=k, normalized=normalized,
+                    cache=PathMatrixCache(graph),
+                ),
+                "rank_targets": rank_targets(
+                    graph, path, source, normalized=normalized
+                )[:k],
+                "Measure.top_k": hetesim.top_k(
+                    MeasureContext(graph=graph), path, source, k=k,
+                    normalized=normalized,
+                ),
+                "QueryServer.run": list(
+                    QueryServer(HeteSimEngine(graph))
+                    .run(BatchRequest(
+                        [Query(source, spec, k=k, normalized=normalized)]
+                    ))
+                    .results[0]
+                    .ranking
+                ),
+            }
+            exact = HeteSimEngine(graph).runtime().top_k(
+                source, spec, k=k, normalized=normalized
+            )
+            assert exact.strategy == "exact"
+            candidates["ResilientRuntime.top_k"] = exact.value
+            for name, ranking in candidates.items():
+                assert ranking == expected, name
+
+    @given(apc_graphs(max_n=16), PATHS, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_pair_scores_equal_row_entries(self, graph, spec, normalized):
+        engine = HeteSimEngine(graph)
+        runtime = engine.runtime()
+        path = graph.schema.path(spec)
+        hetesim = get_measure("hetesim")
+        ctx = MeasureContext(graph=graph)
+        targets = graph.node_keys(path.target_type.name)
+        for source in graph.node_keys(path.source_type.name)[:2]:
+            row = engine.relevance_vector(source, spec, normalized=normalized)
+            for j, target in enumerate(targets):
+                scores = {
+                    "engine.relevance": engine.relevance(
+                        source, target, spec, normalized=normalized
+                    ),
+                    "hetesim_pair": hetesim_pair(
+                        graph, path, source, target, normalized=normalized
+                    ),
+                    "Measure.pair": hetesim.pair(
+                        ctx, path, source, target, normalized=normalized
+                    ),
+                    "runtime.relevance": runtime.relevance(
+                        source, target, spec, normalized=normalized
+                    ).value,
+                }
+                for name, score in scores.items():
+                    assert score == row[j], (name, target)
+
+
+def prune_rung(graph, mass=0.0):
+    """A runtime whose only strategy is an unenforced prune rung."""
+    return ResilientRuntime(
+        graph,
+        policy=(Strategy("prune", prune_mass=mass, enforced=False),),
+    )
+
+
 class TestPruningProperties:
     @given(apc_graphs())
     @settings(max_examples=40, deadline=None)
     def test_exact_mode_matches_engine(self, graph):
-        """mass_tolerance=0 must reproduce the engine ranking exactly."""
+        """prune_mass=0 must reproduce the engine ranking exactly."""
         engine = HeteSimEngine(graph)
         path = graph.schema.path("APC")
         for source in graph.node_keys("author")[:2]:
-            pruned = pruned_top_k(graph, path, source, k=4)
-            exact = engine.top_k(source, path, k=4)
-            assert pruned.is_exact
-            assert [k for k, _ in pruned.ranking] == [k for k, _ in exact]
-            for (_, a), (_, b) in zip(pruned.ranking, exact):
-                assert a == pytest.approx(b, abs=1e-10)
+            pruned = prune_rung(graph).top_k(source, path, k=4)
+            assert "dropped_forward_mass" not in pruned.accuracy
+            assert pruned.value == engine.top_k(source, path, k=4)
 
     @given(apc_graphs(), st.floats(0.0, 0.3))
     @settings(max_examples=40, deadline=None)
     def test_dropped_mass_stays_under_tolerance(self, graph, tolerance):
         path = graph.schema.path("APC")
         source = graph.node_keys("author")[0]
-        result = pruned_top_k(
-            graph, path, source, k=3, mass_tolerance=tolerance
+        result = prune_rung(graph, mass=tolerance).top_k(source, path, k=3)
+        assert 0 <= result.accuracy.get("dropped_forward_mass", 0.0) <= (
+            tolerance
         )
-        assert 0 <= result.dropped_mass <= tolerance
 
-    @given(apc_graphs(), st.floats(0.01, 0.3))
-    @settings(max_examples=40, deadline=None)
-    def test_raw_error_bounded(self, graph, tolerance):
-        path = graph.schema.path("APC")
+    @given(
+        apc_graphs(),
+        st.floats(0.01, 0.3),
+        st.sampled_from([0.0, 0.05, 0.2]),
+        st.sampled_from(["APC", "APCPA", "APCP"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_raw_error_bounded(self, graph, tolerance, eps, spec):
+        """Raw scores stay within dropped_forward_mass + truncated_mass
+        of exact, for every rung configuration on a cold engine."""
+        path = graph.schema.path(spec)
         source = graph.node_keys("author")[0]
         exact = dict(
-            pruned_top_k(
-                graph, path, source, k=10, normalized=False
-            ).ranking
+            HeteSimEngine(graph).top_k(source, path, k=10, normalized=False)
         )
-        approx = pruned_top_k(
-            graph, path, source, k=10, normalized=False,
-            mass_tolerance=tolerance,
+        runtime = ResilientRuntime(
+            graph,
+            policy=(
+                Strategy(
+                    "prune", truncate_eps=eps, prune_mass=tolerance,
+                    enforced=False,
+                ),
+            ),
         )
-        for key, score in approx.ranking:
-            assert abs(score - exact[key]) <= approx.dropped_mass + 1e-10
+        approx = runtime.top_k(source, path, k=10, normalized=False)
+        bound = approx.accuracy.get(
+            "dropped_forward_mass", 0.0
+        ) + approx.accuracy.get("truncated_mass", 0.0)
+        for key, score in approx.value:
+            assert abs(score - exact[key]) <= bound + 1e-10
 
 
 class TestMultiPathProperties:
@@ -93,12 +202,14 @@ class TestMultiPathProperties:
     def test_combination_between_components(self, graph, weight):
         """A convex combination lies between the per-path scores."""
         engine = HeteSimEngine(graph)
-        multi = MultiPathHeteSim(
-            engine, {"APC": weight, "APAPC": 1.0 - weight}
-        )
         source = graph.node_keys("author")[0]
         target = graph.node_keys("conference")[0]
-        combined = multi.relevance(source, target)
+        combined = get_measure("combined").pair(
+            engine.measures,
+            {"APC": weight, "APAPC": 1.0 - weight},
+            source,
+            target,
+        )
         first = engine.relevance(source, target, "APC")
         second = engine.relevance(source, target, "APAPC")
         assert min(first, second) - 1e-12 <= combined <= max(
@@ -109,8 +220,9 @@ class TestMultiPathProperties:
     @settings(max_examples=40, deadline=None)
     def test_matrix_in_unit_interval(self, graph):
         engine = HeteSimEngine(graph)
-        multi = MultiPathHeteSim(engine, {"APC": 1.0, "APAPC": 1.0})
-        matrix = multi.relevance_matrix()
+        matrix = get_measure("combined").matrix(
+            engine.measures, {"APC": 1.0, "APAPC": 1.0}
+        )
         assert (matrix >= -1e-12).all() and (matrix <= 1 + 1e-9).all()
 
 

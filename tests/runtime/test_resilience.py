@@ -14,7 +14,7 @@ from repro.hin.errors import (
     DeadlineExceededError,
     QueryError,
 )
-from repro.runtime.limits import ExecutionLimits
+from repro.runtime.limits import ExecutionLimits, execution_scope
 from repro.runtime.resilience import (
     DEFAULT_POLICY,
     DegradedResult,
@@ -277,3 +277,63 @@ class TestPolicyShape:
         expected_prefix = [s.name for s in DEFAULT_POLICY[: len(names)]]
         assert names == expected_prefix
         assert all(a.elapsed_ms >= 0 for a in result.attempts)
+
+
+class TestTruncatedProductsNeverStored:
+    """A cold query computed under a truncation scope (a degraded rung,
+    or the HTTP batch floor) must not leave truncated halves in the
+    engine memo or the path cache: every later exact query would serve
+    them and the ladder would label the answer ``exact``.
+
+    On the toy network ``CPAPC`` at ``truncate_eps=0.3`` drops half the
+    mass, which zeroes KDD->SIGMOD (exactly 0.1)."""
+
+    SPEC = "CPAPC"
+
+    def exact(self, graph):
+        return HeteSimEngine(graph).top_k("KDD", self.SPEC, k=2)
+
+    def test_engine_query_under_truncation(self, fig4):
+        engine = HeteSimEngine(fig4)
+        with execution_scope(truncate_eps=0.3) as context:
+            truncated = engine.top_k("KDD", self.SPEC, k=2)
+        assert context.truncated_mass == pytest.approx(0.5)
+        assert truncated != self.exact(fig4)
+        assert not engine.has_halves(engine.path(self.SPEC))
+        assert engine.top_k("KDD", self.SPEC, k=2) == self.exact(fig4)
+        result = engine.runtime().top_k("KDD", self.SPEC, k=2)
+        assert (result.strategy, result.degraded) == ("exact", False)
+        assert result.value == self.exact(fig4)
+
+    def test_batch_rerun_under_truncation_floor(self, fig4):
+        from repro.serve.batch import BatchRequest, Query, QueryServer
+
+        engine = HeteSimEngine(fig4)
+        request = BatchRequest([Query("KDD", self.SPEC, k=2)])
+        with execution_scope(truncate_eps=0.3):
+            QueryServer(engine).run(request)
+        ranking = QueryServer(engine).run(request).results[0].ranking
+        assert list(ranking) == self.exact(fig4)
+
+    def test_process_tier_adoption_under_truncation(self, fig4):
+        from repro.serve.batch import BatchRequest, Query, QueryServer
+
+        engine = HeteSimEngine(fig4)
+        queries = [Query("KDD", self.SPEC, k=2), Query("Tom", "APC")]
+        with execution_scope(truncate_eps=0.3):
+            QueryServer(engine).run(
+                BatchRequest(queries, workers=2, backend="process")
+            )
+        assert not engine.has_halves(engine.path(self.SPEC))
+        assert engine.top_k("KDD", self.SPEC, k=2) == self.exact(fig4)
+
+    def test_cache_neither_stores_nor_seeds(self, fig4):
+        from repro.core.cache import PathMatrixCache
+
+        cache = PathMatrixCache(fig4)
+        path = fig4.schema.path("CPAPC")
+        with execution_scope(truncate_eps=0.3):
+            cache.reach_prob(path)
+        assert cache.num_cached == 0
+        fresh = PathMatrixCache(fig4).reach_prob(path)
+        assert (cache.reach_prob(path) != fresh).nnz == 0
