@@ -14,15 +14,19 @@ the longest cached prefix, orders the remaining factors by estimated
 sparse work, and hands prefix intermediates back for storage.  Entries
 are kept under an optional **byte budget** with least-recently-used
 eviction, making the §4.6 space-vs-time trade an enforced bound rather
-than an unbounded growth.
+than an unbounded growth.  The budget also covers entries owned
+elsewhere that register with :meth:`PathMatrixCache.hold` -- the
+engine's memo of per-path scoring forms -- so one LRU order bounds
+both.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
+import numpy as np
 from scipy import sparse
 
 from ..hin.errors import QueryError
@@ -35,6 +39,10 @@ from .plan import plan_path
 __all__ = ["CacheStats", "PathMatrixCache"]
 
 PathKey = Tuple[str, ...]
+#: What a cache slot holds: a path matrix, or a tuple of arrays and
+#: matrices that live and die together (a count matrix with its
+#: diagonal, a held scoring form).
+Entry = Union[sparse.csr_matrix, tuple]
 
 #: How many recent per-plan execution records the cache retains.
 PLAN_LOG_LIMIT = 32
@@ -54,10 +62,13 @@ def _relation_names(key: PathKey) -> PathKey:
     return tuple(name for name in key if not name.startswith("#"))
 
 
-def _matrix_nbytes(matrix: sparse.csr_matrix) -> int:
-    return (
-        matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-    )
+def _nbytes(entry) -> int:
+    """Bytes of an entry's CSR arrays and dense vectors."""
+    if isinstance(entry, np.ndarray):
+        return entry.nbytes
+    if isinstance(entry, tuple):
+        return sum(_nbytes(part) for part in entry)
+    return entry.data.nbytes + entry.indices.nbytes + entry.indptr.nbytes
 
 
 @dataclass(frozen=True)
@@ -104,7 +115,8 @@ class PathMatrixCache:
         are cheap (§4.6 partial-path concatenation).
     byte_budget:
         Optional cap on :attr:`nbytes`.  When set, least-recently-used
-        entries are evicted after every store so the cap always holds;
+        entries are evicted after every store so the cap always holds,
+        and an entry larger than the whole budget is not stored;
         eviction never changes results (evicted matrices are simply
         recomputed on demand).
 
@@ -135,8 +147,10 @@ class PathMatrixCache:
         # dict reads/writes -- so independent materialisations overlap.
         self._lock = threading.RLock()
         # Insertion order doubles as recency order (moved on touch).
-        self._matrices: Dict[PathKey, sparse.csr_matrix] = {}
+        self._matrices: Dict[PathKey, Entry] = {}
         self._signatures: Dict[PathKey, Tuple[int, ...]] = {}
+        # Held entries' owners, told when their entry is evicted.
+        self._releases: Dict[PathKey, Callable[[], None]] = {}
         # The hit/miss/eviction counters and the volume gauges are this
         # cache's labelled children of the process-wide registry
         # families; the public ``hits``/``misses``/``evictions``
@@ -156,10 +170,10 @@ class PathMatrixCache:
             "Entries evicted to hold the byte budget.",
         ).labels(cache=self.obs_label)
         self._entries_gauge = REGISTRY.gauge(
-            "repro_cache_entries", "Materialised path matrices held."
+            "repro_cache_entries", "Cache entries held (held forms included)."
         ).labels(cache=self.obs_label)
         self._bytes_gauge = REGISTRY.gauge(
-            "repro_cache_bytes", "Bytes held by cached CSR matrices."
+            "repro_cache_bytes", "Bytes held by cache entries."
         ).labels(cache=self.obs_label)
         self.plan_log: List[PlanStats] = []
 
@@ -263,19 +277,23 @@ class PathMatrixCache:
         self._record(stats)
         return matrix, versions
 
-    def count_matrix(self, path: MetaPath) -> sparse.csr_matrix:
-        """Path-instance counts ``W_P`` (adjacency weights), cached.
+    def path_counts(
+        self, path: MetaPath
+    ) -> Tuple[sparse.csr_matrix, np.ndarray]:
+        """``(W_P, diag(W_P))``: path-instance counts and their diagonal.
 
         The PathSim factor source routed through the same planned
-        compute layer and byte budget as the ``PM`` entries.  Entries
-        live under a namespaced key (:data:`COUNT_NAMESPACE` prepended
-        to the relation names) so a count product can never be mistaken
-        for -- or substituted as a prefix of -- a transition-weighted
-        matrix.  The plan is built *without* the cache: prefix
-        substitution only stores plain keys, and handing those to an
-        adjacency-weighted chain would splice transition factors into a
-        count product; planning standalone also keeps the
-        mirrored-half reuse for symmetric paths.
+        compute layer and byte budget as the ``PM`` entries.  The
+        diagonal is computed once per materialised matrix and lives in
+        the same entry, so it is evicted and invalidated with it.
+        Entries live under a namespaced key (:data:`COUNT_NAMESPACE`
+        prepended to the relation names) so a count product can never
+        be mistaken for -- or substituted as a prefix of -- a
+        transition-weighted matrix.  The plan is built *without* the
+        cache: prefix substitution only stores plain keys, and handing
+        those to an adjacency-weighted chain would splice transition
+        factors into a count product; planning standalone also keeps
+        the mirrored-half reuse for symmetric paths.
         """
         names = _key(path)
         key = (COUNT_NAMESPACE,) + names
@@ -290,12 +308,13 @@ class PathMatrixCache:
         versions = self._versions_before_plan(names)
         plan = plan_path(self.graph, path, weights="adjacency")
         matrix, stats = execute_plan(self.graph, plan)
+        entry = (matrix, matrix.diagonal())
         if not truncating():
             self._store(
-                key, matrix, tuple(versions[name] for name in names)
+                key, entry, tuple(versions[name] for name in names)
             )
         self._record(stats)
-        return matrix
+        return entry
 
     def _record(self, stats: PlanStats) -> None:
         with self._lock:
@@ -338,15 +357,51 @@ class PathMatrixCache:
     def _store(
         self,
         key: PathKey,
-        matrix: sparse.csr_matrix,
+        entry: Entry,
         signature: Tuple[int, ...],
-    ) -> None:
+        release: Optional[Callable[[], None]] = None,
+    ) -> bool:
+        """Store ``entry`` as most recently used, then evict to the
+        budget.  An entry larger than the whole budget is not stored
+        (it would evict everything, itself included); returns whether
+        it was."""
+        if self.byte_budget is not None and _nbytes(entry) > self.byte_budget:
+            return False
         with self._lock:
             self._matrices.pop(key, None)
-            self._matrices[key] = matrix
+            self._matrices[key] = entry
             self._signatures[key] = signature
+            if release is None:
+                self._releases.pop(key, None)
+            else:
+                self._releases[key] = release
             self._enforce_budget()
             self._sync_gauges()
+        return True
+
+    def hold(
+        self,
+        key: PathKey,
+        entry: tuple,
+        signature: Tuple[int, ...],
+        release: Callable[[], None],
+    ) -> bool:
+        """Account an entry owned elsewhere under this cache's budget.
+
+        ``key`` must carry a ``#``-prefixed namespace token, so it never
+        collides with a path matrix's key.  The entry joins the LRU
+        order like any stored matrix; when eviction drops it,
+        ``release`` is called (under the cache lock) so the owner drops
+        its reference too.  Returns False, holding nothing, when the
+        entry alone exceeds the budget.
+        """
+        return self._store(key, entry, signature, release)
+
+    def touch(self, key: PathKey) -> None:
+        """Mark a held entry most recently used (no-op once evicted)."""
+        with self._lock:
+            if key in self._matrices:
+                self._touch(key)
 
     def _enforce_budget(self) -> None:
         """Evict least-recently-used entries until the budget holds."""
@@ -356,16 +411,16 @@ class PathMatrixCache:
             oldest = next(iter(self._matrices))
             del self._matrices[oldest]
             del self._signatures[oldest]
+            release = self._releases.pop(oldest, None)
+            if release is not None:
+                release()
             self._evictions.inc()
 
     def _sync_gauges(self) -> None:
         """Refresh the entry/byte level gauges (call under the lock)."""
         self._entries_gauge.set(len(self._matrices))
         self._bytes_gauge.set(
-            sum(
-                _matrix_nbytes(matrix)
-                for matrix in self._matrices.values()
-            )
+            sum(_nbytes(entry) for entry in self._matrices.values())
         )
 
     def put(self, path: MetaPath, matrix: sparse.spmatrix) -> None:
@@ -389,10 +444,15 @@ class PathMatrixCache:
             return key in self._matrices and self._fresh(key)
 
     def clear(self) -> None:
-        """Drop all cached matrices (call after mutating the graph)."""
+        """Drop all cached matrices (call after mutating the graph).
+
+        Held entries are forgotten without calling their ``release``:
+        an owner clearing the cache clears its own references.
+        """
         with self._lock:
             self._matrices.clear()
             self._signatures.clear()
+            self._releases.clear()
             self._hits.reset()
             self._misses.reset()
             self._evictions.reset()
@@ -419,22 +479,21 @@ class PathMatrixCache:
 
     @property
     def num_cached(self) -> int:
-        """Number of materialised path matrices."""
+        """Number of entries held, scoring forms held for an owner
+        included."""
         return len(self._matrices)
 
     @property
     def nbytes(self) -> int:
         """Approximate memory held by the cached matrices (bytes).
 
-        Counts the CSR data, index and indptr arrays -- the §4.6
-        space-vs-time trade made inspectable (and, with a budget,
-        enforced).
+        Counts the CSR data, index and indptr arrays (and the dense
+        vectors stored beside them) of every entry, held ones included
+        -- the §4.6 space-vs-time trade made inspectable (and, with a
+        budget, enforced).
         """
         with self._lock:
-            return sum(
-                _matrix_nbytes(matrix)
-                for matrix in self._matrices.values()
-            )
+            return sum(_nbytes(entry) for entry in self._matrices.values())
 
     @property
     def last_plan(self) -> Optional[PlanStats]:

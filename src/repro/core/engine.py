@@ -5,11 +5,14 @@ over one network.  It keeps
 
 * a :class:`~repro.core.cache.PathMatrixCache` of reachable-probability
   matrices (shared across paths with common prefixes), and
-* per-path *half* matrices ``(PM_PL, PM_{PR^-1})`` with their row norms,
+* per path, the *scoring form* of its half matrices
+  (:func:`~repro.core.hetesim.scoring_form`: unit-norm halves, the
+  right one transposed, and their row norms), accounted under the
+  cache's byte budget,
 
-so that after the first query on a path, single-pair and single-source
-queries reduce to sparse-row dot products -- exactly the off-line /
-on-line split Section 4.6 describes.
+so that after the first query on a path, scoring a block of sources is
+one sparse product -- exactly the off-line / on-line split Section 4.6
+describes.
 """
 
 from __future__ import annotations
@@ -27,12 +30,15 @@ from ..obs.metrics import REGISTRY, instance_label
 from ..obs.trace import span as trace_span
 from .backend import PlanStats, truncating
 from .cache import CacheStats, PathMatrixCache
-from .hetesim import Halves, normed_halves
+from .hetesim import Halves, scoring_form
 from .measures import MeasureContext, get_measure
 
 __all__ = ["HeteSimEngine"]
 
 _HalfKey = Tuple[str, ...]
+
+#: Namespace token of the memo's entries in the cache's LRU order.
+HALVES_NAMESPACE = "#halves"
 
 
 class HeteSimEngine:
@@ -46,8 +52,9 @@ class HeteSimEngine:
         after any mutation transparently rebuilds the caches.
     byte_budget:
         Optional cap (bytes) on the underlying
-        :class:`~repro.core.cache.PathMatrixCache`; least-recently-used
-        path matrices are evicted to hold it.
+        :class:`~repro.core.cache.PathMatrixCache` and the per-path
+        scoring forms together; the least-recently-used path matrices
+        and forms are evicted to hold it.
 
     Examples
     --------
@@ -66,12 +73,13 @@ class HeteSimEngine:
     ) -> None:
         self.graph = graph
         self.cache = PathMatrixCache(graph, byte_budget=byte_budget)
-        # One atomic entry per key: ``(signature, halves_tuple)``.  The
+        # One atomic entry per key: ``(signature, form)``.  The
         # signature and the result it belongs to must live in a single
         # dict value -- a reader doing one ``get`` can then never pair a
         # stale tuple with a fresh signature, which two side-by-side
         # dicts allowed whenever a materialisation landed between the
-        # two unlocked reads.
+        # two unlocked reads.  Every entry is also held by the cache,
+        # whose LRU eviction removes it again (``_forget``).
         self._halves: Dict[_HalfKey, Tuple[Tuple[int, ...], Halves]] = {}
         # Single-flight materialisation: one lock per half key, so two
         # in-flight queries for the same path share one materialisation
@@ -113,10 +121,21 @@ class HeteSimEngine:
     # materialisation
     # ------------------------------------------------------------------
     def halves(self, path: MetaPath) -> Halves:
-        """``(PM_PL, PM_PR^-1, left_row_norms, right_row_norms)``, cached.
+        """The path's scoring form, memoised.
 
-        Staleness is tracked per relation: mutating one relation only
-        invalidates the halves of paths that traverse it.
+        ``(left, right, left_norms, right_norms)``: ``PM_PL`` with
+        unit-norm rows, ``PM_{PR^-1}`` with unit-norm rows and stored
+        transposed (both CSR), and the two halves' original row norms
+        -- see :func:`~repro.core.hetesim.scoring_form`.  Built once
+        per path, under the path's single-flight lock, and never
+        changed once memoised.
+
+        The memo shares the engine's byte budget with the path-matrix
+        cache: entries are evicted least-recently-used along with the
+        cached matrices, and a form larger than the whole budget is
+        returned but not memoised.  Staleness is tracked per relation:
+        mutating one relation only invalidates the forms of paths that
+        traverse it.
 
         Thread-safe with single-flight deduplication: concurrent calls
         for the same path share one materialisation (later callers
@@ -134,16 +153,24 @@ class HeteSimEngine:
         signature = self.graph.relations_signature(key)
         entry = self._halves.get(key)
         if entry is not None and entry[0] == signature:
-            self._memo_hits.inc()
-            return entry[1]
-        with self._locks_guard:
-            key_lock = self._half_locks.setdefault(key, threading.Lock())
-        with key_lock:
+            return self._memo_hit(key, entry)
+        with self._key_lock(key):
             entry = self._halves.get(key)
             if entry is not None and entry[0] == signature:
-                self._memo_hits.inc()
-                return entry[1]
+                return self._memo_hit(key, entry)
             return self._materialise_halves(path, key, signature)
+
+    def _key_lock(self, key: _HalfKey) -> threading.Lock:
+        """The single-flight lock of one path; every memo write for the
+        path happens under it."""
+        with self._locks_guard:
+            return self._half_locks.setdefault(key, threading.Lock())
+
+    def _memo_hit(self, key: _HalfKey, entry) -> Halves:
+        self._memo_hits.inc()
+        if self.cache.byte_budget is not None:
+            self.cache.touch((HALVES_NAMESPACE,) + key)
+        return entry[1]
 
     def _materialise_halves(
         self,
@@ -156,11 +183,39 @@ class HeteSimEngine:
             path=path.code(),
             engine=self.obs_label,
         ):
-            result = normed_halves(self.graph, path, cache=self.cache)
+            result = scoring_form(self.graph, path, cache=self.cache)
         self._materialisations.inc()
-        if not truncating():
-            self._halves[key] = (signature, result)
+        self._memoise(key, signature, result)
         return result
+
+    def _memoise(
+        self, key: _HalfKey, signature: Tuple[int, ...], form: Halves
+    ) -> None:
+        """Memoise ``form``, held under the cache's byte budget (call
+        under the path's key lock).
+
+        Forms built while the ambient execution scope truncates are
+        never memoised, and a form the budget cannot hold is dropped
+        again at once.
+        """
+        if truncating():
+            return
+        entry = (signature, form)
+        with self._locks_guard:
+            self._halves[key] = entry
+        if not self.cache.hold(
+            (HALVES_NAMESPACE,) + key,
+            form,
+            signature,
+            lambda: self._forget(key, entry),
+        ):
+            self._forget(key, entry)
+
+    def _forget(self, key: _HalfKey, entry) -> None:
+        """Drop ``entry`` from the memo unless a newer one replaced it."""
+        with self._locks_guard:
+            if self._halves.get(key) is entry:
+                del self._halves[key]
 
     def adopt_halves(
         self,
@@ -177,15 +232,16 @@ class HeteSimEngine:
         happened in another process and its own engine counter (merged
         into this registry by the process tier) already recorded it.
         Workers run under the caller's exported execution scope, so
-        like :meth:`halves` nothing is memoised while it truncates.
+        like :meth:`halves` nothing is memoised while it truncates, and
+        the adopted form counts against the byte budget.
         """
         if self.graph.relations_signature(key) != signature:
             raise QueryError(
                 f"adopted halves for {key!r} were computed under a "
                 "stale graph signature"
             )
-        if not truncating():
-            self._halves[key] = (signature, halves)
+        with self._key_lock(key):
+            self._memoise(key, signature, halves)
         self._adoptions.inc()
 
     @property
@@ -221,9 +277,9 @@ class HeteSimEngine:
         store=None,
         backend: str = "auto",
     ):
-        """Pre-materialise half matrices and row norms (§4.6 off-line).
+        """Pre-materialise scoring forms (§4.6 off-line).
 
-        Resolves ``paths``, materialises each distinct path's halves --
+        Resolves ``paths``, materialises each distinct path's form --
         concurrently when ``workers > 1`` -- and, when ``store`` (a
         :class:`~repro.core.store.MatrixStore`) is given, persists the
         half-path ``PM`` matrices so a fresh process can reload them
@@ -423,8 +479,8 @@ class HeteSimEngine:
         """Scores for an explicit list of (source, target) pairs.
 
         The batched form the supervised-learning and link-prediction
-        flows need: one halves materialisation, then one sparse dot per
-        pair.
+        flows need: one form materialisation, then one row product per
+        distinct source (pairs sharing a source reuse its row).
         """
         if not pairs:
             raise QueryError("pairs must be non-empty")

@@ -16,8 +16,12 @@ The computational form follows Equations (5)-(8):
    (``HeteSim(a, a | symmetric P) = 1``) and the [0, 1] range.
 
 This module owns steps 1-2 (:func:`half_reach_matrices`, the one
-halves constructor, and :func:`row_norms`).  Steps 3-4 live in the
-HeteSim measure plugin's prepared state
+halves constructor) and §4.6's off-line step: :func:`scoring_form`
+turns the halves into the form the on-line step reads -- both halves
+scaled to unit-norm rows, the right one stored transposed, plus both
+norm vectors -- so normalised HeteSim (step 4) is one sparse product
+and raw HeteSim (step 3) that product scaled by the norms.  The
+on-line step lives in the HeteSim measure plugin's prepared state
 (:class:`~repro.core.measures.hetesim.HeteSimPrepared`); the
 functional entry points below are thin callers of it.
 """
@@ -31,14 +35,15 @@ from scipy import sparse
 
 from ..hin.decomposition import decompose_adjacency
 from ..hin.graph import HeteroGraph
-from ..hin.matrices import row_normalize
+from ..hin.matrices import row_normalize, safe_reciprocal
 from ..hin.metapath import MetaPath
 from .backend import materialise
 
 __all__ = [
     "half_reach_matrices",
-    "normed_halves",
+    "scoring_form",
     "row_norms",
+    "unit_rows",
     "hetesim_context",
     "hetesim_matrix",
     "hetesim_pair",
@@ -46,7 +51,9 @@ __all__ = [
     "hetesim_all_sources",
 ]
 
-#: ``(PM_PL, PM_{PR^-1}, left row norms, right row norms)``.
+#: A path's scoring form: ``(PM_PL with unit-norm rows, PM_{PR^-1} with
+#: unit-norm rows transposed, PM_PL's row norms, PM_{PR^-1}'s row
+#: norms)`` -- see :func:`scoring_form`.
 Halves = Tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarray, np.ndarray]
 
 
@@ -99,17 +106,39 @@ def row_norms(half: sparse.csr_matrix) -> np.ndarray:
     return np.sqrt(np.asarray(half.multiply(half).sum(axis=1))).ravel()
 
 
-def normed_halves(graph: HeteroGraph, path: MetaPath, cache=None) -> Halves:
-    """:func:`half_reach_matrices` plus both halves' row norms.
+def unit_rows(
+    half: sparse.csr_matrix,
+) -> Tuple[sparse.csr_matrix, np.ndarray]:
+    """A copy of ``half`` with unit-norm rows, and the original norms.
 
-    The scoring state of
+    Scales the copy's CSR data in place, repeating each row's
+    reciprocal norm over that row's stored entries; all-zero rows stay
+    zero.  ``half`` itself (often a cached path matrix) is untouched.
+    """
+    norms = row_norms(half)
+    unit = half.copy()
+    unit.data *= np.repeat(safe_reciprocal(norms), np.diff(unit.indptr))
+    return unit, norms
+
+
+def scoring_form(graph: HeteroGraph, path: MetaPath, cache=None) -> Halves:
+    """§4.6's off-line product for ``path``: its :data:`Halves` form.
+
+    Both halves of :func:`half_reach_matrices` get unit-norm rows, and
+    the right one is stored transposed, as CSR.  Then
+    ``left[rows] @ right`` is the block of Def. 10 cosine scores with
+    no further work, and scaling it by ``left_norms[rows]`` and
+    ``right_norms`` rebuilds Eq. 6's raw scores.  The scoring state of
     :class:`~repro.core.measures.hetesim.HeteSimPrepared`, and what the
     engine memoises per path.
     """
     left, right = half_reach_matrices(graph, path, cache=cache)
-    left_norms = row_norms(left)
-    right_norms = left_norms if right is left else row_norms(right)
-    return left, right, left_norms, right_norms
+    unit_left, left_norms = unit_rows(left)
+    if right is left:
+        unit_right, right_norms = unit_left, left_norms
+    else:
+        unit_right, right_norms = unit_rows(right)
+    return unit_left, unit_right.T.tocsr(), left_norms, right_norms
 
 
 def hetesim_context(graph: HeteroGraph, cache=None):

@@ -22,9 +22,9 @@ from scipy.sparse.linalg import svds
 
 from ..hin.errors import QueryError
 from ..hin.graph import HeteroGraph
+from ..hin.matrices import safe_reciprocal
 from ..hin.metapath import MetaPath
-from .hetesim import normed_halves
-from .measures.hetesim import cosine_normalise
+from .hetesim import half_reach_matrices, row_norms
 from .search import select_top_k
 
 __all__ = ["LowRankHeteSim"]
@@ -60,9 +60,8 @@ class LowRankHeteSim:
     ) -> None:
         if rank < 1:
             raise QueryError(f"rank must be >= 1, got {rank}")
-        left, right, left_norms, right_norms = normed_halves(
-            graph, path, cache=cache
-        )
+        left, right = half_reach_matrices(graph, path, cache=cache)
+        left_norms, right_norms = row_norms(left), row_norms(right)
         rank_left = min(rank, min(left.shape) - 1)
         rank_right = min(rank, min(right.shape) - 1)
         if rank_left < 1 or rank_right < 1:
@@ -96,9 +95,10 @@ class LowRankHeteSim:
         self._b = u_right * s_right
         self._cross = vt_left @ vt_right.T
 
-        # Exact row norms (cheap) so normalisation does not degrade.
-        self._left_norms = left_norms
-        self._right_norms = right_norms
+        # Exact reciprocal row norms (cheap) so Eq. 8's normalisation
+        # does not degrade; zero-norm rows score 0.
+        self._left_scale = safe_reciprocal(left_norms)
+        self._right_scale = safe_reciprocal(right_norms)
 
         total_energy = float(left_norms @ left_norms)
         kept_energy = float(np.sum(s_left ** 2))
@@ -112,22 +112,16 @@ class LowRankHeteSim:
         product = self._a[rows] @ self._cross @ self._b[cols].T
         if not normalized:
             return product
+        product *= self._left_scale[rows][:, None]
+        product *= self._right_scale[cols]
         # Rank truncation can push a cosine score epsilon outside [0, 1];
         # the exact value always lies inside, so clamping only shrinks
         # the approximation error.
-        return np.clip(
-            cosine_normalise(
-                product, rows, self._left_norms, self._right_norms[cols]
-            ),
-            0.0,
-            1.0,
-        )
+        return np.clip(product, 0.0, 1.0)
 
     def relevance_matrix(self, normalized: bool = True) -> np.ndarray:
         """Approximate all-pairs relevance matrix."""
-        return self._scores(
-            range(len(self._left_norms)), slice(None), normalized
-        )
+        return self._scores(slice(None), slice(None), normalized)
 
     def relevance(
         self, source_key: str, target_key: str, normalized: bool = True

@@ -41,7 +41,7 @@ from ...hin.metapath import MetaPath, PathSpec
 from ...obs.metrics import REGISTRY
 from ..backend import materialise
 from ..cache import PathMatrixCache
-from ..hetesim import Halves, normed_halves
+from ..hetesim import Halves, scoring_form
 from ..search import select_top_k
 
 __all__ = [
@@ -121,7 +121,8 @@ class MeasureContext:
             ) from exc
 
     def halves(self, path: MetaPath) -> Halves:
-        """``(PM_PL, PM_PR^-1, left_norms, right_norms)`` for ``path``.
+        """The scoring form of ``path``
+        (:func:`~repro.core.hetesim.scoring_form`).
 
         Served from the engine's single-flight memo when an engine is
         attached (one materialisation per path per batch, shared across
@@ -129,7 +130,7 @@ class MeasureContext:
         """
         if self.engine is not None:
             return self.engine.halves(path)
-        return normed_halves(self.graph, path, cache=self.cache)
+        return scoring_form(self.graph, path, cache=self.cache)
 
     def reach(self, path: MetaPath) -> sparse.csr_matrix:
         """``PM_path`` (Definition 9) through the planned layer."""
@@ -141,9 +142,19 @@ class MeasureContext:
     def count_matrix(self, path: MetaPath) -> sparse.csr_matrix:
         """Adjacency-weighted path-instance counts ``W_path``."""
         if self.cache is not None:
-            return self.cache.count_matrix(path)
+            return self.cache.path_counts(path)[0]
         matrix, _ = materialise(self.graph, path, weights="adjacency")
         return matrix
+
+    def path_counts(
+        self, path: MetaPath
+    ) -> Tuple[sparse.csr_matrix, np.ndarray]:
+        """``(W_path, diag(W_path))``; the diagonal is cached with the
+        counts when a cache is attached."""
+        if self.cache is not None:
+            return self.cache.path_counts(path)
+        matrix = self.count_matrix(path)
+        return matrix, matrix.diagonal()
 
     def global_walk(self, undirected: bool = True):
         """``(GlobalIndex, row-normalised walk matrix)``, memoised.

@@ -1,14 +1,15 @@
 """HeteSim as a measure plugin (the paper's Definition 10 / Eq. 6).
 
-Scoring state is the pair of half matrices ``(PM_PL, PM_{PR^-1})``
-plus their row norms, obtained through
-:meth:`~repro.core.measures.base.MeasureContext.halves` -- i.e. the
-engine's single-flight memo when one is attached.  That sharing is
-what lets a mixed-measure batch (plain HeteSim plus a
+Scoring state is a path's scoring form
+(:func:`~repro.core.hetesim.scoring_form`: both halves with unit-norm
+rows, the right one transposed, plus their row norms), obtained
+through :meth:`~repro.core.measures.base.MeasureContext.halves` --
+i.e. the engine's single-flight memo when one is attached.  That
+sharing is what lets a mixed-measure batch (plain HeteSim plus a
 :class:`~repro.core.measures.combined.CombinedMeasure` component on
-the same path) materialise each path's halves exactly once.
+the same path) materialise each path's form exactly once.
 
-:class:`HeteSimPrepared` is the only code that turns halves into
+:class:`HeteSimPrepared` is the only code that turns the form into
 HeteSim scores: every engine method, the functional API in
 :mod:`repro.core.hetesim`, :mod:`repro.core.search`, the batch and
 process tiers and the degradation ladder's halves rungs score through
@@ -20,8 +21,8 @@ from __future__ import annotations
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
-from ...hin.matrices import safe_reciprocal
 from ...hin.metapath import PathSpec
 from .base import (
     Measure,
@@ -34,63 +35,59 @@ from .base import (
 __all__ = [
     "HeteSimMeasure",
     "HeteSimPrepared",
-    "cosine_normalise",
 ]
 
 
-def cosine_normalise(
-    raw: np.ndarray,
-    rows: Sequence[int],
-    left_norms: np.ndarray,
-    right_norms: np.ndarray,
-) -> np.ndarray:
-    """Eq. 8: scale a raw ``(rows, targets)`` block to cosine scores.
+def _pick_rows(
+    matrix: sparse.csr_matrix, rows: Tuple[int, ...]
+) -> sparse.csr_matrix:
+    """``matrix[rows]`` with the rows' stored entries in stored order.
 
-    Block row ``p`` belongs to source row ``rows[p]`` of the left half
-    (norms ``left_norms``); ``right_norms`` align with the block's
-    columns.  A zero-norm source row scores 0, never NaN; zero-norm
-    targets score 0 through :func:`~repro.hin.matrices.safe_reciprocal`.
+    One row is taken by ``getrow``; several are gathered with numpy,
+    which costs about half of scipy's fancy row indexing.
     """
-    scale = safe_reciprocal(right_norms)
-    scored = np.empty_like(raw)
-    for position, row in enumerate(rows):
-        norm = left_norms[row]
-        if norm == 0:
-            scored[position] = 0.0
-        else:
-            np.multiply(raw[position], scale / norm, out=scored[position])
-    return scored
+    if len(rows) == 1:
+        return matrix.getrow(rows[0])
+    picked = np.asarray(rows, dtype=np.intp)
+    starts = matrix.indptr[picked]
+    lengths = matrix.indptr[picked + 1] - starts
+    indptr = np.zeros(len(picked) + 1, dtype=matrix.indptr.dtype)
+    np.cumsum(lengths, out=indptr[1:])
+    take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+    return sparse.csr_matrix(
+        (matrix.data[take], matrix.indices[take], indptr),
+        shape=(len(picked), matrix.shape[1]),
+    )
 
 
 class HeteSimPrepared(PreparedMeasure):
-    """Half matrices + row norms, with a memoised raw block GEMM.
+    """A path's scoring form, with a memoised block product.
 
-    ``score_rows`` computes the raw block ``left[rows] @ right.T``
-    once per distinct row set and derives both normalisation modes
-    from it, so a group mixing ``normalized`` flags still costs one
-    GEMM.  ``score_pair`` dots one source row with one target row, and
-    its result is bit-identical to that entry of ``score_rows``.
+    ``score_rows`` computes ``left[rows] @ right`` once per distinct
+    row set.  Both halves have unit-norm rows and ``right`` is stored
+    transposed, so that CSR x CSR product is already the block of
+    Def. 10 cosine scores; raw Eq. 6 scores are the same block scaled
+    by ``left_norms[rows]`` and ``right_norms`` (zero-norm rows and
+    columns score 0).  A group mixing ``normalized`` flags therefore
+    costs one product.  CSR x CSR computes each output row on its own,
+    so a row's scores never depend on the other rows in its block, and
+    the inherited ``score_pair`` is bit-identical to its row entry.
 
     The process tier's shard workers build one with ``ctx`` and
-    ``shape`` set to None: scoring rows needs only the halves.
+    ``shape`` set to None: scoring rows needs only the form.
     """
 
-    def __init__(self, ctx, shape, halves) -> None:
+    def __init__(self, ctx, shape, form) -> None:
         super().__init__(ctx, shape)
-        self.left, self.right, self.left_norms, self.right_norms = halves
+        self.left, self.right, self.left_norms, self.right_norms = form
         self._blocks: Dict[Tuple[int, ...], np.ndarray] = {}
-        #: Nonzeros of the most recent raw block product.
+        #: Nonzeros of the most recent block product.
         self.last_block_nnz = 0
 
-    def _raw_block(self, rows: Tuple[int, ...]) -> np.ndarray:
+    def _unit_block(self, rows: Tuple[int, ...]) -> np.ndarray:
         block = self._blocks.get(rows)
         if block is None:
-            if len(rows) == 1:
-                # Fancy indexing is markedly slower for a single row.
-                picked = self.left.getrow(rows[0])
-            else:
-                picked = self.left[list(rows), :]
-            product = picked @ self.right.T
+            product = _pick_rows(self.left, rows) @ self.right
             block = product.toarray()
             self.last_block_nnz = int(product.nnz)
             self._blocks[rows] = block
@@ -100,23 +97,12 @@ class HeteSimPrepared(PreparedMeasure):
         self, rows: Sequence[int], normalized: bool = True
     ) -> np.ndarray:
         key = tuple(rows)
-        block = self._raw_block(key)
-        if not normalized:
-            return block
-        return cosine_normalise(
-            block, key, self.left_norms, self.right_norms
-        )
-
-    def score_pair(
-        self, row: int, col: int, normalized: bool = True
-    ) -> float:
-        product = self.left.getrow(row) @ self.right.getrow(col).T
-        raw = product.toarray()
+        block = self._unit_block(key)
         if normalized:
-            raw = cosine_normalise(
-                raw, [row], self.left_norms, self.right_norms[col:col + 1]
-            )
-        return float(raw[0, 0])
+            return block
+        raw = np.multiply(block, self.left_norms[list(key)][:, None])
+        raw *= self.right_norms
+        return raw
 
 
 class HeteSimMeasure(Measure):

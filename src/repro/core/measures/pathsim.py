@@ -1,17 +1,18 @@
 """PathSim as a measure plugin (Sun et al., VLDB 2011).
 
 Scoring state is the symmetric path's instance-count matrix
-``M = W_PL @ W_PL'``, materialised through
-:meth:`~repro.core.measures.base.MeasureContext.count_matrix` -- the
+``M = W_PL @ W_PL'`` and its diagonal, materialised through
+:meth:`~repro.core.measures.base.MeasureContext.path_counts` -- the
 planned compute layer with adjacency weights, cached under the
 :class:`~repro.core.cache.PathMatrixCache` byte budget when a cache is
-attached.  ``normalized=False`` exposes the raw instance counts; the
-default is the paper's ``2 M(a,b) / (M(a,a) + M(b,b))``.
+attached (the diagonal in the same entry, computed once per
+materialised matrix).  ``normalized=False`` exposes the raw instance
+counts; the default is the paper's ``2 M(a,b) / (M(a,a) + M(b,b))``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -42,18 +43,23 @@ def require_symmetric(path: MetaPath) -> None:
 class PathSimPrepared(PreparedMeasure):
     """The sparse count matrix plus its diagonal."""
 
-    def __init__(self, ctx, shape, counts) -> None:
+    def __init__(self, ctx, shape, counts, diagonal) -> None:
         super().__init__(ctx, shape)
         self.counts = counts
+        self.diagonal = diagonal
 
     def score_rows(
         self, rows: Sequence[int], normalized: bool = True
     ) -> np.ndarray:
-        block = self.counts[list(rows), :].toarray()
+        rows = list(rows)
+        if len(rows) == 1:
+            # Fancy indexing is markedly slower for a single row.
+            block = self.counts.getrow(rows[0]).toarray()
+        else:
+            block = self.counts[rows, :].toarray()
         if not normalized:
             return block
-        diagonal = self.counts.diagonal()
-        denominator = diagonal[list(rows)][:, None] + diagonal[None, :]
+        denominator = self.diagonal[rows][:, None] + self.diagonal[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(
                 denominator > 0, 2.0 * block / denominator, 0.0
@@ -79,7 +85,7 @@ class PathSimMeasure(Measure):
     ) -> PathSimPrepared:
         meta = ctx.path(spec)
         return PathSimPrepared(
-            ctx, self.resolve(ctx, meta), ctx.count_matrix(meta)
+            ctx, self.resolve(ctx, meta), *ctx.path_counts(meta)
         )
 
     def pair(
@@ -101,56 +107,14 @@ class PathSimMeasure(Measure):
                 )
         i = ctx.graph.node_index(type_name, source_key)
         j = ctx.graph.node_index(type_name, target_key)
-        counts = self.prepare(ctx, spec).counts
-        m_ab = counts[i, j]
+        prepared = self.prepare(ctx, spec)
+        m_ab = prepared.counts[i, j]
         if not normalized:
             return float(m_ab)
-        denominator = counts[i, i] + counts[j, j]
+        denominator = prepared.diagonal[i] + prepared.diagonal[j]
         if denominator == 0:
             return 0.0
         return float(2.0 * m_ab / denominator)
-
-    def matrix(
-        self,
-        ctx: MeasureContext,
-        spec: PathSpec,
-        normalized: bool = True,
-    ) -> np.ndarray:
-        """All-pairs PathSim, mirroring the legacy dense formula."""
-        _count(_MEASURE_QUERIES, self.name)
-        self.resolve(ctx, spec)
-        counts = self.prepare(ctx, spec).counts.toarray()
-        if not normalized:
-            return counts
-        diagonal = np.diag(counts)
-        denominator = diagonal[:, None] + diagonal[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(
-                denominator > 0, 2.0 * counts / denominator, 0.0
-            )
-
-    def _scores(
-        self,
-        ctx: MeasureContext,
-        spec: PathSpec,
-        source_key: str,
-        normalized: bool,
-    ) -> Tuple[np.ndarray, str]:
-        """One source's scores, mirroring the legacy row formula."""
-        _count(_MEASURE_QUERIES, self.name)
-        shape = self.resolve(ctx, spec)
-        row_index = ctx.node_index(shape.source_type, source_key)
-        counts = self.prepare(ctx, spec).counts
-        row = counts.getrow(row_index).toarray().ravel()
-        if not normalized:
-            return row, shape.target_type
-        diagonal = counts.diagonal()
-        denominator = diagonal[row_index] + diagonal
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scores = np.where(
-                denominator > 0, 2.0 * row / denominator, 0.0
-            )
-        return scores, shape.target_type
 
 
 register_measure(PathSimMeasure())

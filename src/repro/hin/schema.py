@@ -22,12 +22,30 @@ a ``code`` -- a short, unique, upper-case identifier -- so that
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .errors import SchemaError
 
+if TYPE_CHECKING:
+    from .metapath import MetaPath
+
 __all__ = ["ObjectType", "RelationType", "NetworkSchema"]
+
+#: Parsed compact path strings memoised per schema.  A fixed-size LRU:
+#: network clients can send any path string.
+PATH_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -137,6 +155,27 @@ class NetworkSchema:
         self._relations: Dict[str, RelationType] = {}
         # (source name, target name) -> list of relations in that direction
         self._by_endpoints: Dict[Tuple[str, str], List[RelationType]] = {}
+        self._init_path_memo()
+
+    def _init_path_memo(self) -> None:
+        from .metapath import parse_path
+
+        # Compact string spec -> parsed MetaPath (immutable, so one
+        # instance can be shared); thread-safe, and a spec that raises
+        # is not stored.
+        self._parse_code: Callable[[str], "MetaPath"] = functools.lru_cache(
+            maxsize=PATH_MEMO_SIZE
+        )(functools.partial(parse_path, self))
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The memo's wrapper cannot be pickled; it is cheap to rebuild.
+        state = self.__dict__.copy()
+        del state["_parse_code"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._init_path_memo()
 
     # ------------------------------------------------------------------
     # construction
@@ -159,6 +198,7 @@ class NetworkSchema:
         otype = ObjectType(name, code)
         self._types_by_name[name] = otype
         self._types_by_code[code] = otype
+        self._clear_path_memo()
         return otype
 
     def add_relation(
@@ -181,7 +221,13 @@ class NetworkSchema:
         rel = RelationType(name, src, tgt)
         self._relations[name] = rel
         self._by_endpoints.setdefault((src.name, tgt.name), []).append(rel)
+        self._clear_path_memo()
         return rel
+
+    def _clear_path_memo(self) -> None:
+        """Forget parsed paths: a new type or relation can change what a
+        code string means (or make it ambiguous)."""
+        self._parse_code.cache_clear()
 
     # ------------------------------------------------------------------
     # lookups
@@ -267,13 +313,19 @@ class NetworkSchema:
     # ------------------------------------------------------------------
     # meta-path construction (delegates to repro.hin.metapath)
     # ------------------------------------------------------------------
-    def path(self, spec) -> "MetaPath":  # noqa: F821 - forward reference
+    def path(self, spec) -> "MetaPath":
         """Parse ``spec`` into a :class:`repro.hin.metapath.MetaPath`.
 
         ``spec`` may be a compact code string (``"APVC"``), a sequence of
         type names (``["author", "paper", "venue"]``), or a sequence of
         relation names.  See :func:`repro.hin.metapath.parse_path`.
+
+        Parsed code strings are memoised in a :data:`PATH_MEMO_SIZE`
+        entry LRU, cleared whenever the schema gains a type or a
+        relation; a spec that fails to parse is never stored.
         """
+        if isinstance(spec, str):
+            return self._parse_code(spec)
         from .metapath import parse_path
 
         return parse_path(self, spec)

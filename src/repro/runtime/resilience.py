@@ -34,7 +34,7 @@ import numpy as np
 from scipy import sparse
 
 from ..core.engine import HeteSimEngine
-from ..core.hetesim import row_norms
+from ..core.hetesim import unit_rows
 from ..core.lowrank import LowRankHeteSim
 from ..core.measures import HeteSimPrepared, get_measure
 from ..core.search import select_top_k
@@ -442,10 +442,12 @@ class ResilientRuntime:
         """The HeteSim prepared state a halves rung scores from.
 
         Runs inside the rung's execution scope, so the engine memo
-        serves exact halves when it has them and otherwise builds them
+        serves the exact form when it has it and otherwise builds one
         under the rung's truncation (never memoised or cached).  The
         prune rung then scores a single pruned forward row instead of
-        the source's full one.
+        the source's full one: the raw row is rebuilt from its unit row
+        and norm, pruned in raw probability mass, and scaled back to
+        unit norm.
         """
         ctx = self.engine.measures
         prepared = get_measure("hetesim").prepare(ctx, meta)
@@ -453,12 +455,14 @@ class ResilientRuntime:
         if strategy.prune_mass <= 0:
             return prepared, row, {}
         forward, dropped = _drop_smallest_mass(
-            prepared.left.getrow(row), strategy.prune_mass
+            prepared.left.getrow(row) * prepared.left_norms[row],
+            strategy.prune_mass,
         )
+        unit_forward, forward_norm = unit_rows(forward)
         pruned = HeteSimPrepared(
             ctx,
             prepared.shape,
-            (forward, prepared.right, row_norms(forward),
+            (unit_forward, prepared.right, forward_norm,
              prepared.right_norms),
         )
         return pruned, 0, {"dropped_forward_mass": dropped}

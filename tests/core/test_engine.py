@@ -1,10 +1,15 @@
 """Unit tests for the high-level HeteSimEngine."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.engine import HeteSimEngine
 from repro.core.hetesim import hetesim_matrix, hetesim_pair
+from repro.datasets.random_hin import make_random_hin
+from repro.datasets.schemas import toy_apc_schema
 from repro.hin.errors import QueryError
 
 
@@ -152,9 +157,14 @@ class TestMutationSafety:
         assert after > 0.0
 
     def test_symmetric_path_shares_half_matrix(self, fig4_engine):
+        """A symmetric path materialises one half; its scoring form
+        stores it unit-scaled twice, once transposed, with one norm
+        vector."""
         path = fig4_engine.path("APA")
-        left, right, _, _ = fig4_engine.halves(path)
-        assert left is right
+        left, right, left_norms, right_norms = fig4_engine.halves(path)
+        assert left_norms is right_norms
+        assert right.shape == left.shape[::-1]
+        assert (right != left.T).nnz == 0
 
     def test_version_counter_visible(self, fig4):
         engine = HeteSimEngine(fig4)
@@ -183,6 +193,78 @@ class TestMutationSafety:
         fig4.add_edge("writes", "Tom", "p3")
         after = engine.halves(path)
         assert before[0] is not after[0]
+
+
+class TestMemoByteBudget:
+    """The halves memo shares the engine's byte budget with the cache."""
+
+    BUDGET = 1 << 20
+    #: What the engine holds besides matrix data: its locks, counters,
+    #: plan log and path memo (about 20 KiB in practice).
+    SLACK = 256 << 10
+    #: Distinct paths of growing length; APCPAPCPA's A x A halves alone
+    #: are about 4 MB, several times the budget.
+    PATHS = ("APCPA", "APCPAPCPA", "CPAPC", "CPAPCPAPC")
+
+    @staticmethod
+    def _graph():
+        return make_random_hin(
+            toy_apc_schema(),
+            {"author": 600, "paper": 1200, "conference": 100},
+            edge_probs={"writes": 8 / 1200, "published_in": 3 / 100},
+            seed=1,
+        )
+
+    def test_path_flood_stays_within_budget(self):
+        graph = self._graph()
+
+        def source(spec):
+            type_name = graph.schema.path(spec).source_type.name
+            return graph.node_keys(type_name)[0]
+
+        # The graph's own adjacency matrices are outside any budget:
+        # build them before measuring.
+        for spec in self.PATHS:
+            HeteSimEngine(graph).top_k(source(spec), spec, k=5)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            engine = HeteSimEngine(graph, byte_budget=self.BUDGET)
+            first = {
+                spec: engine.top_k(source(spec), spec, k=5)
+                for spec in self.PATHS
+            }
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= self.BUDGET + self.SLACK
+        assert engine.cache.nbytes <= self.BUDGET
+        assert engine.cache.evictions > 0
+        evicted = [
+            spec for spec in self.PATHS
+            if not engine.has_halves(engine.path(spec))
+        ]
+        assert evicted
+        for spec in self.PATHS:
+            assert engine.top_k(source(spec), spec, k=5) == first[spec]
+
+    def test_form_over_budget_is_served_not_memoised(self, fig4):
+        engine = HeteSimEngine(fig4, byte_budget=64)
+        path = engine.path("APCPA")
+        expected = HeteSimEngine(fig4).top_k("Tom", path, k=3)
+        assert engine.top_k("Tom", path, k=3) == expected
+        assert not engine.has_halves(path)
+        assert engine.cache.nbytes <= 64
+
+    def test_unbudgeted_memo_keeps_every_form(self, fig4):
+        engine = HeteSimEngine(fig4)
+        queries = [("Tom", "APC"), ("Tom", "APCPA"), ("KDD", "CPAPC")]
+        for source, spec in queries:
+            engine.top_k(source, spec, k=2)
+        for _, spec in queries:
+            assert engine.has_halves(engine.path(spec))
+        assert engine.cache.evictions == 0
 
 
 class _RacyHalves(dict):

@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.hin.errors import SchemaError
-from repro.hin.schema import NetworkSchema, ObjectType, RelationType
+from repro.hin.errors import PathError, SchemaError
+from repro.hin.schema import (
+    PATH_MEMO_SIZE,
+    NetworkSchema,
+    ObjectType,
+    RelationType,
+)
 
 
 def make_ap_schema():
@@ -200,3 +205,47 @@ class TestToDot:
     def test_custom_name(self):
         dot = make_ap_schema().to_dot(name="bib")
         assert dot.startswith("digraph bib {")
+
+
+def make_apc_schema():
+    return NetworkSchema.from_spec(
+        [("author", "A"), ("paper", "P"), ("conference", "C")],
+        [
+            ("writes", "author", "paper"),
+            ("published_in", "paper", "conference"),
+        ],
+    )
+
+
+class TestPathMemo:
+    def test_string_specs_parse_once(self):
+        schema = make_apc_schema()
+        assert schema.path("APC") is schema.path("APC")
+
+    def test_new_relation_makes_a_parsed_path_ambiguous(self):
+        schema = make_apc_schema()
+        assert schema.path("APC").code() == "APC"
+        schema.add_relation("reviews", "author", "paper")
+        with pytest.raises(PathError, match="ambiguous") as raised:
+            schema.path("APC")
+        assert isinstance(raised.value.__cause__, SchemaError)
+
+    def test_new_type_clears_the_memo(self):
+        schema = make_apc_schema()
+        first = schema.path("APC")
+        schema.add_object_type("venue", "V")
+        assert schema.path("APC") is not first
+        assert schema.path("APC").code() == "APC"
+
+    def test_parse_errors_are_not_stored(self):
+        schema = make_apc_schema()
+        for _ in range(2):
+            with pytest.raises(PathError):
+                schema.path("AC")
+        assert schema._parse_code.cache_info().currsize == 0
+
+    def test_memo_is_bounded(self):
+        schema = make_apc_schema()
+        for repeat in range(1, PATH_MEMO_SIZE + 20):
+            schema.path("AP" * repeat)
+        assert schema._parse_code.cache_info().currsize == PATH_MEMO_SIZE

@@ -1,7 +1,8 @@
-"""The README's code snippets must actually run.
+"""The README's and the tutorial's code snippets must actually run.
 
 Documentation that silently rots is worse than none; this module executes
-the quickstart snippet and checks the claims the README makes around it.
+the README's quickstart snippet and checks the claims the README makes
+around it, and runs every tutorial snippet in order.
 """
 
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 README = Path(__file__).resolve().parents[2] / "README.md"
+TUTORIAL = README.parent / "docs" / "tutorial.md"
 
 
 def extract_python_blocks(text):
@@ -65,3 +67,18 @@ class TestReadme:
             if experiment_id in ("list", "all", "report"):
                 continue
             assert experiment_id in registered
+
+
+class TestTutorial:
+    def test_every_block_runs_in_order(self, tmp_path, monkeypatch):
+        """The tutorial reads as one script: later blocks use earlier names,
+        and the blocks that persist data write into the working
+        directory."""
+        blocks = extract_python_blocks(TUTORIAL.read_text(encoding="utf-8"))
+        assert len(blocks) >= 10, "the tutorial lost code blocks"
+        monkeypatch.chdir(tmp_path)
+        namespace = {}
+        for number, block in enumerate(blocks):
+            code = compile(block, f"docs/tutorial.md block {number}", "exec")
+            exec(code, namespace)  # noqa: S102
+        assert 0.0 <= namespace["result"].auc <= 1.0

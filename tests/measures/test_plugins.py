@@ -122,6 +122,27 @@ class TestPathSimPlugin:
         with pytest.raises(PathError, match="symmetric"):
             measure.matrix(ctx, "APC")
 
+    def test_mutation_refreshes_counts_and_diagonal(self, fig4):
+        """The diagonal is cached with the count matrix, so a relation
+        mutation must invalidate both: the next block is PathSim over
+        the new counts."""
+        engine = HeteSimEngine(fig4)
+        measure = get_measure("pathsim")
+        path = fig4.schema.path("APCPA")
+        rows = list(range(fig4.num_nodes("author")))
+        before = measure.prepare(engine.measures, path).score_rows(rows)
+        fig4.add_edge("writes", "Tom", "p3")
+        block = measure.prepare(engine.measures, path).score_rows(rows)
+        counts = adjacency_counts(fig4, path)
+        diagonal = np.diag(counts)
+        denominator = diagonal[:, None] + diagonal[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = np.where(
+                denominator > 0, 2.0 * counts / denominator, 0.0
+            )
+        np.testing.assert_allclose(block, expected, rtol=0, atol=1e-12)
+        assert not np.array_equal(block, before)
+
 
 class TestWalkPlugins:
     def test_vector_is_one_hot_propagation(self, hin, ctx):

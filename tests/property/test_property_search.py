@@ -104,6 +104,36 @@ class TestEveryEntryPointAgrees:
             for name, ranking in candidates.items():
                 assert ranking == expected, name
 
+    @given(apc_graphs(max_n=16), PATHS, st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_block_rows_equal_single_rows(
+        self, graph, spec, normalized, data
+    ):
+        """A row's scores do not depend on its block: every row of a
+        random multi-row block equals that row scored alone, and every
+        pair score equals its entry, bit for bit."""
+        engine = HeteSimEngine(graph)
+        path = graph.schema.path(spec)
+        hetesim = get_measure("hetesim")
+        n_sources = graph.num_nodes(path.source_type.name)
+        rows = data.draw(
+            st.lists(
+                st.integers(0, n_sources - 1),
+                min_size=2,
+                max_size=2 * n_sources,
+            )
+        )
+        block = hetesim.prepare(engine.measures, spec).score_rows(
+            rows, normalized=normalized
+        )
+        for position, row in enumerate(rows):
+            alone = hetesim.prepare(engine.measures, spec)
+            single = alone.score_rows([row], normalized=normalized)[0]
+            assert block[position].tobytes() == single.tobytes(), row
+            for col, score in enumerate(block[position]):
+                pair = alone.score_pair(row, col, normalized=normalized)
+                assert pair == score, (row, col)
+
     @given(apc_graphs(max_n=16), PATHS, st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_pair_scores_equal_row_entries(self, graph, spec, normalized):

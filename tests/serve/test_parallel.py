@@ -8,12 +8,13 @@ never change an answer.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from repro.core.engine import HeteSimEngine
+from repro.core.engine import HALVES_NAMESPACE, HeteSimEngine
 from repro.datasets.random_hin import make_random_hin
 from repro.hin.errors import (
     DeadlineExceededError,
@@ -357,3 +358,65 @@ class TestSingleFlightHalves:
             np.testing.assert_array_equal(
                 right.toarray(), ref_right.toarray()
             )
+
+
+class TestBudgetedMemoStress:
+    SPECS = ("APC", "APCPA", "CPAPC", "APCP", "APA", "APAPC", "CPA")
+
+    def test_concurrent_flood_keeps_every_form_accounted(self, hin):
+        """8 threads (more than the cores) flood a budgeted engine with
+        distinct paths while a short switch interval makes them
+        interleave inside memo writes and evictions.  A lost update
+        would leave a memoised form the cache no longer accounts for;
+        afterwards every memo entry must still be held by the cache,
+        the cache must be within budget, and every answer must equal
+        an unbudgeted engine's."""
+
+        def source(spec):
+            return "C0" if spec.startswith("C") else "A0"
+
+        reference = HeteSimEngine(hin)
+        expected = {
+            spec: reference.top_k(source(spec), spec, k=4)
+            for spec in self.SPECS
+        }
+        budget = reference.cache.nbytes // 3
+        engine = HeteSimEngine(hin, byte_budget=budget)
+        answers = []
+        failures = []
+        start = threading.Barrier(8)
+
+        def worker(slot):
+            try:
+                start.wait()
+                for step in range(20):
+                    spec = self.SPECS[(slot + step) % len(self.SPECS)]
+                    answers.append(
+                        (spec, engine.top_k(source(spec), spec, k=4))
+                    )
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(slot,))
+                for slot in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert len(answers) == 8 * 20
+        for spec, ranking in answers:
+            assert ranking == expected[spec], spec
+        assert engine.cache.evictions > 0
+        assert engine.cache.nbytes <= budget
+        for key in list(engine._halves):
+            assert (HALVES_NAMESPACE,) + key in engine.cache._matrices
