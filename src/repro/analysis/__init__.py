@@ -12,24 +12,17 @@ makes those invariants machine-checked on every push:
   :class:`SourceFile` handling.
 * :mod:`repro.analysis.rules` -- the local rule pack (RPR001 unbudgeted
   densification, RPR002 typed errors, RPR003 nondeterminism, RPR005
-  context propagation, RPR006 float-literal equality).
+  context propagation, RPR006 float-literal equality, RPR008 direct
+  materialisation imports, RPR011 contextvar-token reset).
 * :mod:`repro.analysis.lockgraph` -- RPR004 lock discipline: static
   guaranteed-held analysis plus lock-order cycle detection.
 * :mod:`repro.analysis.pairs` -- RPR007 paired-state atomicity:
   unlocked same-key accesses to two separate ``_``-prefixed dicts
   (the stale-halves TOCTOU shape fixed in PR 5).
-* :mod:`repro.analysis.cfg` / :mod:`~repro.analysis.dataflow` -- the
-  semantic substrate: per-function control-flow graphs (exception
-  edges, ``finally`` routing) and a generic forward/backward dataflow
-  framework (reaching definitions, all-paths must-analysis).
-* :mod:`repro.analysis.lifetime` -- RPR010 resource lifetime and
-  RPR011 contextvar-token hygiene, path-sensitive over the CFG.
 * :mod:`repro.analysis.project` -- the whole-project view: module
-  naming, the resolved import graph, class/function indexes, and
-  conservative call-graph reachability.
+  naming and the resolved import graph.
 * :mod:`repro.analysis.consistency` -- the project rule pack (RPR012
-  metrics-catalogue consistency, RPR013 import layering, RPR014
-  picklable worker errors).
+  metrics-catalogue consistency, RPR013 import layering).
 * :mod:`repro.analysis.runner` / :mod:`~repro.analysis.report` -- the
   driver and the text/JSON emitters behind ``hetesim lint``.
 * :mod:`repro.analysis.baseline` -- the justification-required
@@ -50,12 +43,7 @@ from .baseline import (
     load_baseline,
     write_baseline,
 )
-from .cfg import CFG, build_cfg
-from .consistency import (
-    ImportLayeringRule,
-    MetricsCatalogueRule,
-    PicklableWorkerErrorRule,
-)
+from .consistency import ImportLayeringRule, MetricsCatalogueRule
 from .core import (
     Finding,
     BaseRule,
@@ -65,19 +53,17 @@ from .core import (
     register,
     registered_rules,
 )
-from .dataflow import all_paths_hit, reaching_definitions
-from .lifetime import ContextTokenRule, ResourceLifetimeRule
 from .lockgraph import LockDisciplineRule
 from .pairs import PairedStateRule
 from .project import ProjectContext
 from .report import render_json, render_text
 from .rules import (
     ContextPropagationRule,
+    ContextTokenRule,
     DensifyRule,
     FloatEqualityRule,
     MaterialiseImportRule,
     NondeterminismRule,
-    SharedMemoryLeaseRule,
     TypedErrorRule,
 )
 from .runner import LintResult, iter_python_files, run_lint
@@ -85,7 +71,6 @@ from .runner import LintResult, iter_python_files, run_lint
 __all__ = [
     "Baseline",
     "BaseRule",
-    "CFG",
     "ContextPropagationRule",
     "ContextTokenRule",
     "DensifyRule",
@@ -99,20 +84,14 @@ __all__ = [
     "NondeterminismRule",
     "PLACEHOLDER_REASON",
     "PairedStateRule",
-    "PicklableWorkerErrorRule",
     "ProjectContext",
-    "ResourceLifetimeRule",
     "Rule",
-    "SharedMemoryLeaseRule",
     "SourceFile",
     "Suppression",
     "TypedErrorRule",
-    "all_paths_hit",
-    "build_cfg",
     "default_rules",
     "iter_python_files",
     "load_baseline",
-    "reaching_definitions",
     "register",
     "registered_rules",
     "render_json",

@@ -1,4 +1,4 @@
-"""Project-scoped consistency rules (RPR012-RPR014).
+"""Project-scoped consistency rules (RPR012, RPR013).
 
 These rules run in the *project pass*: after every file is parsed, the
 runner hands them one :class:`~repro.analysis.project.ProjectContext`
@@ -16,14 +16,6 @@ and they check invariants no single file can witness:
   the same or a lower layer.  Top-level import cycles between modules
   are reported as well (Tarjan SCC, the same machinery as RPR004's
   lock-order cycles).
-* **RPR014** -- exceptions raised in code reachable from the process
-  tier's worker module must be picklable: the class (or a base) defines
-  ``__reduce__``, or no class in its chain customises ``__init__``
-  (default ``cls(*self.args)`` replay works), or every ``__init__`` in
-  the chain forwards its positional parameters verbatim to
-  ``super().__init__`` (so the replay signature still matches).  A
-  worker exception that cannot cross the process boundary surfaces as
-  an opaque ``PicklingError`` instead of the real failure.
 """
 
 from __future__ import annotations
@@ -33,13 +25,12 @@ import re
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .core import BaseRule, Finding, SourceFile, dotted_name, register
-from .project import ClassDecl, FunctionDecl, ImportEdge, ProjectContext
+from .project import ImportEdge, ProjectContext
 
 __all__ = [
     "LAYER_RANKS",
     "MetricsCatalogueRule",
     "ImportLayeringRule",
-    "PicklableWorkerErrorRule",
 ]
 
 #: The declared layer DAG, bottom-up.  ``hin`` (graph model, typed
@@ -516,135 +507,3 @@ class ImportLayeringRule(BaseRule):
                 )
             )
         return findings
-
-
-# ----------------------------------------------------------------------
-# RPR014: picklable worker exceptions
-# ----------------------------------------------------------------------
-@register
-class PicklableWorkerErrorRule(BaseRule):
-    """RPR014: exceptions in worker-reachable code must survive pickling."""
-
-    rule_id = "RPR014"
-    summary = (
-        "exceptions raised in process-worker-reachable code must be "
-        "picklable (__reduce__, or an __init__ the default replay "
-        "can call)"
-    )
-
-    def __init__(self, worker_module: str = "repro.serve.procs") -> None:
-        self.worker_module = worker_module
-
-    def check_project(self, project: ProjectContext) -> List[Finding]:
-        """Walk the conservative closure from the worker module's code."""
-        worker = project.modules.get(self.worker_module)
-        if worker is None:
-            return []
-        roots: List[FunctionDecl] = []
-        for node in ast.walk(worker.file.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                roots.append(
-                    FunctionDecl(
-                        name=node.name,
-                        module=self.worker_module,
-                        rel=worker.file.rel,
-                        node=node,
-                    )
-                )
-        findings: List[Finding] = []
-        seen: Set[Tuple[str, int, str]] = set()
-        verdicts: Dict[str, Optional[str]] = {}
-        for decl in project.reachable_functions(roots):
-            for node in ast.walk(decl.node):
-                if not isinstance(node, ast.Raise) or node.exc is None:
-                    continue
-                if not isinstance(node.exc, ast.Call):
-                    continue
-                ctor = dotted_name(node.exc.func)
-                if ctor is None:
-                    continue
-                leaf = ctor.rsplit(".", 1)[-1]
-                if leaf not in verdicts:
-                    verdicts[leaf] = self._verdict(project, leaf)
-                problem = verdicts[leaf]
-                if problem is None:
-                    continue
-                key = (decl.rel, int(node.lineno), leaf)
-                if key in seen:
-                    continue
-                seen.add(key)
-                findings.append(
-                    _project_finding(
-                        self,
-                        decl.rel,
-                        node.lineno,
-                        f"`{leaf}` raised in code reachable from "
-                        f"{self.worker_module} workers {problem}; it "
-                        "would cross the process boundary as an opaque "
-                        "PicklingError (define __reduce__)",
-                    )
-                )
-        findings.sort()
-        return findings
-
-    def _verdict(
-        self, project: ProjectContext, class_name: str
-    ) -> Optional[str]:
-        """None when picklable; otherwise why it is not."""
-        chain = project.class_chain(class_name)
-        if not chain:
-            return None  # builtin / third-party: out of scope
-        if not self._is_exception(project, chain):
-            return None
-        if any(decl.has_reduce for decl in chain):
-            return None
-        inits = [decl for decl in chain if decl.init is not None]
-        if not inits:
-            return None  # default Exception pickling replays cls(*args)
-        for decl in inits:
-            assert decl.init is not None
-            if not _init_forwards_args(decl.init):
-                return (
-                    "but its __init__ (in "
-                    f"{decl.module}) does not forward its arguments to "
-                    "super().__init__"
-                )
-        return None
-
-    def _is_exception(
-        self, project: ProjectContext, chain: List[ClassDecl]
-    ) -> bool:
-        """Whether the chain plausibly roots in an exception type."""
-        for decl in chain:
-            for base in decl.bases:
-                if base.endswith("Error") or base.endswith("Exception"):
-                    return True
-        return False
-
-
-def _init_forwards_args(init: ast.FunctionDef) -> bool:
-    """``__init__`` passes each of its positional params, in order, to
-    ``super().__init__`` -- so the default ``cls(*self.args)`` replay
-    reconstructs an equivalent instance."""
-    params = [arg.arg for arg in init.args.args[1:]]  # drop self
-    for node in ast.walk(init):
-        if not isinstance(node, ast.Call):
-            continue
-        if not isinstance(node.func, ast.Attribute):
-            continue
-        if node.func.attr != "__init__":
-            continue
-        value = node.func.value
-        if not (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id == "super"
-        ):
-            continue
-        passed: List[str] = []
-        for arg in node.args:
-            if not isinstance(arg, ast.Name):
-                return False
-            passed.append(arg.id)
-        return passed == params[: len(passed)] and len(passed) == len(params)
-    return False

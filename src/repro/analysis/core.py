@@ -221,7 +221,7 @@ def default_rules() -> List[BaseRule]:
 
 def _load_builtin_rules() -> None:
     """Import the built-in rule modules so their ``@register`` calls ran."""
-    from . import consistency, lifetime, lockgraph, pairs, rules  # noqa: F401
+    from . import consistency, lockgraph, pairs, rules  # noqa: F401
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:

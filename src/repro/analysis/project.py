@@ -10,16 +10,7 @@ SourceFile` at a time; the project pass hands them a single
 * an **import graph** -- one :class:`ImportEdge` per ``import`` /
   ``from ... import`` with relative levels resolved against the
   importing module's package, tagged top-level vs lazy (inside a
-  function),
-* **class and function indexes** -- declarations by bare name, with
-  base-class names and ``__reduce__`` / ``__init__`` details recorded
-  for the picklability rule,
-* a conservative **call-graph closure** (:meth:`ProjectContext.
-  reachable_functions`) -- name-based, in the same spirit as
-  :mod:`~repro.analysis.lockgraph`'s intra-class fixpoint: a call site
-  ``f(...)`` / ``obj.f(...)`` reaches *every* project function named
-  ``f``.  Over-approximate by design; project rules must only use it
-  where extra reachability means extra scrutiny, never suppression.
+  function).
 """
 
 from __future__ import annotations
@@ -27,15 +18,13 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import SourceFile, dotted_name
+from .core import SourceFile
 
 __all__ = [
     "ImportEdge",
     "ModuleInfo",
-    "ClassDecl",
-    "FunctionDecl",
     "ProjectContext",
     "module_name_for",
 ]
@@ -78,30 +67,6 @@ class ImportEdge:
 
 
 @dataclass
-class ClassDecl:
-    """One class declaration: what the picklability rule needs."""
-
-    name: str
-    module: str
-    rel: str
-    line: int
-    bases: Tuple[str, ...]
-    has_reduce: bool
-    init: Optional[ast.FunctionDef]
-    node: ast.ClassDef
-
-
-@dataclass
-class FunctionDecl:
-    """One function/method declaration, indexed by bare name."""
-
-    name: str
-    module: str
-    rel: str
-    node: ast.AST  # FunctionDef | AsyncFunctionDef
-
-
-@dataclass
 class ModuleInfo:
     """One parsed module and its resolved imports."""
 
@@ -124,98 +89,6 @@ class ProjectContext:
             info = ModuleInfo(name=name, file=file)
             info.imports = _collect_imports(file, name)
             self.modules[name] = info
-        self._classes: Optional[Dict[str, List[ClassDecl]]] = None
-        self._functions: Optional[Dict[str, List[FunctionDecl]]] = None
-
-    # -- indexes (lazy; most runs only trigger a subset of rules) ------
-    @property
-    def classes(self) -> Dict[str, List[ClassDecl]]:
-        """Class declarations across the project, by bare class name."""
-        if self._classes is None:
-            index: Dict[str, List[ClassDecl]] = {}
-            for info in self.modules.values():
-                for node in ast.walk(info.file.tree):
-                    if not isinstance(node, ast.ClassDef):
-                        continue
-                    index.setdefault(node.name, []).append(
-                        _class_decl(node, info)
-                    )
-            self._classes = index
-        return self._classes
-
-    @property
-    def functions(self) -> Dict[str, List[FunctionDecl]]:
-        """Function/method declarations, by bare name."""
-        if self._functions is None:
-            index: Dict[str, List[FunctionDecl]] = {}
-            for info in self.modules.values():
-                for node in ast.walk(info.file.tree):
-                    if isinstance(
-                        node, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        index.setdefault(node.name, []).append(
-                            FunctionDecl(
-                                name=node.name,
-                                module=info.name,
-                                rel=info.file.rel,
-                                node=node,
-                            )
-                        )
-            self._functions = index
-        return self._functions
-
-    # -- class hierarchy ----------------------------------------------
-    def class_chain(self, name: str) -> List[ClassDecl]:
-        """``name``'s declarations plus every project base, transitively.
-
-        Bases are matched by bare name; unknown (builtin / third-party)
-        bases terminate their branch.  Homonymous classes all
-        contribute -- over-approximation, as everywhere here.
-        """
-        chain: List[ClassDecl] = []
-        seen: Set[str] = set()
-        pending = [name]
-        while pending:
-            current = pending.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            for decl in self.classes.get(current, []):
-                chain.append(decl)
-                pending.extend(decl.bases)
-        return chain
-
-    # -- conservative call graph ---------------------------------------
-    def reachable_functions(
-        self, roots: Iterable[FunctionDecl]
-    ) -> List[FunctionDecl]:
-        """Name-based reachability closure from ``roots``.
-
-        Every call ``f(...)`` / ``obj.f(...)`` inside a reachable
-        function reaches every project function named ``f``.
-        Constructor calls ``Cls(...)`` reach ``Cls.__init__``.
-        """
-        reached: Dict[Tuple[str, str, int], FunctionDecl] = {}
-        pending: List[FunctionDecl] = list(roots)
-        while pending:
-            decl = pending.pop()
-            key = (decl.module, decl.name, int(getattr(decl.node, "lineno", 0)))
-            if key in reached:
-                continue
-            reached[key] = decl
-            for callee_name in _called_names(decl.node):
-                pending.extend(self.functions.get(callee_name, []))
-                for class_decl in self.classes.get(callee_name, []):
-                    if class_decl.init is not None:
-                        pending.append(
-                            FunctionDecl(
-                                name="__init__",
-                                module=class_decl.module,
-                                rel=class_decl.rel,
-                                node=class_decl.init,
-                            )
-                        )
-        return list(reached.values())
 
 
 # ----------------------------------------------------------------------
@@ -298,42 +171,3 @@ def _resolve_from(
     if not base:
         return None
     return ".".join(base)
-
-
-def _class_decl(node: ast.ClassDef, info: ModuleInfo) -> ClassDecl:
-    bases: List[str] = []
-    for base in node.bases:
-        dotted = dotted_name(base)
-        if dotted is not None:
-            bases.append(dotted.rsplit(".", 1)[-1])
-    has_reduce = False
-    init: Optional[ast.FunctionDef] = None
-    for member in node.body:
-        if isinstance(member, ast.FunctionDef):
-            if member.name in ("__reduce__", "__reduce_ex__", "__getnewargs__"):
-                has_reduce = True
-            elif member.name == "__init__":
-                init = member
-    return ClassDecl(
-        name=node.name,
-        module=info.name,
-        rel=info.file.rel,
-        line=int(node.lineno),
-        bases=tuple(bases),
-        has_reduce=has_reduce,
-        init=init,
-        node=node,
-    )
-
-
-def _called_names(func: ast.AST) -> FrozenSet[str]:
-    """Bare names of everything called inside one function body."""
-    names: Set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call):
-            dotted = dotted_name(node.func)
-            if dotted is not None:
-                names.add(dotted.rsplit(".", 1)[-1])
-            elif isinstance(node.func, ast.Attribute):
-                names.add(node.func.attr)
-    return frozenset(names)

@@ -1,4 +1,4 @@
-"""The built-in local rule pack (RPR001-003, RPR005, RPR006, RPR008, RPR009).
+"""The built-in local rule pack (RPR001-003, RPR005, RPR006, RPR008, RPR011).
 
 Each rule machine-checks one invariant PRs 1-3 introduced by
 convention:
@@ -23,11 +23,9 @@ convention:
   :class:`~repro.core.cache.PathMatrixCache`, never by importing
   ``materialise`` directly -- a direct call skips the cache's byte
   budget and its plan metrics.
-* **RPR009** -- shared-memory segments must have a guaranteed release
-  path: every ``SharedMemory(...)`` construction is adopted into a
-  :class:`~repro.core.shm.ShmLease` (directly or via a bound name) or
-  cleaned up in a ``finally`` block, so a raised exception can never
-  leak a named kernel object.
+* **RPR011** -- every ``ContextVar.set()`` token is ``reset()`` in the
+  ``finally`` of the ``try`` that directly follows it, or handed over
+  to an owner that resets it later.
 
 The lock-discipline rule **RPR004** lives in
 :mod:`repro.analysis.lockgraph` (it builds whole-project state).
@@ -47,7 +45,7 @@ __all__ = [
     "ContextPropagationRule",
     "FloatEqualityRule",
     "MaterialiseImportRule",
-    "SharedMemoryLeaseRule",
+    "ContextTokenRule",
 ]
 
 
@@ -385,128 +383,163 @@ class MaterialiseImportRule(BaseRule):
 
 
 @register
-class SharedMemoryLeaseRule(BaseRule):
-    """RPR009: every ``SharedMemory`` segment needs a guaranteed release.
+class ContextTokenRule(BaseRule):
+    """RPR011: every ``ContextVar.set()`` token is ``reset()``.
 
-    A ``multiprocessing.shared_memory.SharedMemory`` is a named kernel
-    object: an exception between construction and ``close()`` /
-    ``unlink()`` leaks the mapping -- and, for the creating side, the
-    segment itself, which survives process exit.  The shared-memory
-    data plane (:mod:`repro.core.shm`) therefore adopts every segment
-    into a :class:`~repro.core.shm.ShmLease` whose context-manager /
-    ``finally`` release discipline makes leaks structural
-    impossibilities.  The rule flags any ``SharedMemory(...)``
-    construction that is neither (a) an argument of an ``.adopt(...)``
-    guard call, nor (b) bound to a name the same scope later passes to
-    ``.adopt(...)`` or ``close()``/``unlink()``s inside a ``finally``
-    block.
+    A token dropped on one path leaves the ambient context (limits,
+    fault plans, span parents) permanently replaced for the rest of the
+    thread's life -- exactly the class of bug ``adopt_context`` /
+    ``execution_scope`` exist to prevent.
+
+    The check is lexical.  ``token = VAR.set(...)`` on a module-level
+    ``ContextVar`` must be followed directly by a ``try`` whose
+    ``finally`` calls ``VAR.reset(token)``; that shape resets on every
+    path out of the block.  A token that is returned, or stored on an
+    attribute (an ``__enter__`` that its ``__exit__`` resets), is handed
+    over to a new owner.  A bare ``VAR.set(...)`` statement discards
+    the token and is always flagged.
     """
 
-    rule_id = "RPR009"
+    rule_id = "RPR011"
     summary = (
-        "SharedMemory(...) without lease adoption or finally cleanup"
+        "ContextVar.set() token not reset() on every control-flow path"
     )
 
+    def __init__(self, library_prefix: str = "src/repro") -> None:
+        self.library_prefix = library_prefix
+
     def check(self, file: SourceFile) -> List[Finding]:
-        """Flag unguarded ``SharedMemory`` constructions."""
+        """Flag unreset or discarded ``ContextVar.set`` tokens."""
+        if not file.rel.startswith(self.library_prefix):
+            return []
+        declared = _context_vars(file.tree)
+        if not declared:
+            return []
         findings: List[Finding] = []
+        # Every statement list: module, function, loop and branch
+        # bodies, handlers, ``else`` and ``finally`` blocks.
         for node in ast.walk(file.tree):
-            if not isinstance(node, ast.Call):
+            for _, block in ast.iter_fields(node):
+                if isinstance(block, list):
+                    findings.extend(
+                        self._check_block(file, block, declared)
+                    )
+        return findings
+
+    def _check_block(
+        self,
+        file: SourceFile,
+        statements: List[ast.AST],
+        declared: FrozenSet[str],
+    ) -> List[Finding]:
+        findings: List[Finding] = []
+        for position, stmt in enumerate(statements):
+            if isinstance(stmt, ast.Expr):
+                var = _context_var_set(stmt.value, declared)
+                if var is not None:
+                    findings.append(
+                        self.finding(
+                            file,
+                            stmt,
+                            f"`{var}.set(...)` token discarded; bind it "
+                            "and `reset()` in `finally`",
+                        )
+                    )
                 continue
-            name = dotted_name(node.func)
-            if name is None or name.split(".")[-1] != "SharedMemory":
+            if not (
+                isinstance(stmt, ast.Assign)
+                and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)
+            ):
+                continue  # an attribute target hands the token over
+            var = _context_var_set(stmt.value, declared)
+            if var is None:
                 continue
-            scope = file.enclosing_function(node) or file.tree
-            if _segment_guarded(node, scope):
+            token = stmt.targets[0].id
+            following = statements[position + 1 : position + 2]
+            if following and _finally_resets(following[0], var, token):
+                continue
+            scope = file.enclosing_function(stmt) or file.tree
+            if _handed_over(scope, token):
                 continue
             findings.append(
                 self.finding(
                     file,
-                    node,
-                    "SharedMemory segment without a guaranteed "
-                    "release path: adopt it into a ShmLease "
-                    "(repro.core.shm) or close()/unlink() it in a "
-                    "finally block",
+                    stmt,
+                    f"token of `{var}.set(...)` has a path to function "
+                    "exit without `reset()`; reset in `finally`",
                 )
             )
         return findings
 
 
-def _segment_guarded(call: ast.Call, scope: ast.AST) -> bool:
-    """Whether a ``SharedMemory(...)`` call has a guaranteed cleanup.
+def _context_vars(tree: ast.Module) -> FrozenSet[str]:
+    """Module-level names bound to ``ContextVar(...)``."""
+    names: Set[str] = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+            target, value = stmt.targets[0], stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            target, value = stmt.target, stmt.value
+        else:
+            continue
+        if isinstance(target, ast.Name) and isinstance(value, ast.Call):
+            ctor = dotted_name(value.func)
+            if ctor is not None and ctor.rsplit(".", 1)[-1] == "ContextVar":
+                names.add(target.id)
+    return frozenset(names)
 
-    Either the construction itself is an ``.adopt(...)`` argument, or
-    its bound name is adopted / ``finally``-released somewhere in the
-    same scope.  Purely lexical -- the rule asks "is there *a* release
-    path", not "does every control flow reach it"; the lease idiom
-    makes the latter true wherever the former is.
-    """
-    if _adopt_argument(call, scope, argument=call):
-        return True
-    bound = _binding_name(call, scope)
-    if bound is None:
+
+def _context_var_set(
+    value: ast.expr, declared: FrozenSet[str]
+) -> Optional[str]:
+    """The receiver of a ``VAR.set(...)`` call on a declared variable."""
+    if not (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Attribute)
+        and value.func.attr == "set"
+    ):
+        return None
+    receiver = dotted_name(value.func.value)
+    if receiver is None or receiver.rsplit(".", 1)[-1] not in declared:
+        return None
+    return receiver
+
+
+def _finally_resets(stmt: ast.AST, var: str, token: str) -> bool:
+    """``stmt`` is a ``try`` whose ``finally`` calls ``var.reset(token)``."""
+    if not isinstance(stmt, ast.Try):
         return False
-    if _adopt_argument(call, scope, name=bound):
-        return True
-    for node in ast.walk(scope):
-        if not isinstance(node, ast.Try) or not node.finalbody:
-            continue
-        for statement in node.finalbody:
-            for sub in ast.walk(statement):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in ("close", "unlink")
-                    and isinstance(sub.func.value, ast.Name)
-                    and sub.func.value.id == bound
-                ):
-                    return True
-    return False
-
-
-def _adopt_argument(
-    call: ast.Call,
-    scope: ast.AST,
-    argument: Optional[ast.Call] = None,
-    name: Optional[str] = None,
-) -> bool:
-    """Whether ``scope`` contains ``<lease>.adopt(<argument or name>)``."""
-    for node in ast.walk(scope):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "adopt"
-        ):
-            continue
-        for arg in node.args:
-            if argument is not None and arg is argument:
-                return True
+    for node in stmt.finalbody:
+        for call in ast.walk(node):
             if (
-                name is not None
-                and isinstance(arg, ast.Name)
-                and arg.id == name
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "reset"
+                and dotted_name(call.func.value) == var
+                and any(
+                    isinstance(arg, ast.Name) and arg.id == token
+                    for arg in call.args
+                )
             ):
                 return True
     return False
 
 
-def _binding_name(call: ast.Call, scope: ast.AST) -> Optional[str]:
-    """The simple name ``call``'s result is assigned to, if any."""
+def _handed_over(scope: ast.AST, token: str) -> bool:
+    """``scope`` returns ``token`` or stores it on an attribute."""
     for node in ast.walk(scope):
-        if (
-            isinstance(node, ast.Assign)
-            and node.value is call
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
+        if isinstance(node, ast.Return):
+            value = node.value
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Attribute) for target in node.targets
         ):
-            return node.targets[0].id
-        if (
-            isinstance(node, ast.NamedExpr)
-            and node.value is call
-            and isinstance(node.target, ast.Name)
-        ):
-            return node.target.id
-    return None
+            value = node.value
+        else:
+            continue
+        if isinstance(value, ast.Name) and value.id == token:
+            return True
+    return False
 
 
 def _float_literal_value(node: ast.expr) -> Optional[float]:

@@ -41,12 +41,8 @@ Workflows::
 
     # Batched serving: many queries answered with group-by-path block
     # GEMM scoring (SOURCE:PATH items); --trace prints the span tree.
-    # --backend process shards the block GEMMs across worker processes
-    # with shared-memory half matrices (multi-core, GIL-free).
     python -m repro.cli serve-batch graph.json \\
         --queries Tom:APC Mary:APC Tom:APVC -k 5 --workers 4 --trace
-    python -m repro.cli serve-batch graph.json \\
-        --queries Tom:APC Mary:APC -k 5 --workers 4 --backend process
 
     # Network serving: async HTTP tier with per-tenant API keys, token
     # buckets, a bounded admission queue and graceful SIGTERM drain.
@@ -245,13 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="store_dir",
         help="persist the half-path matrices to this store directory",
     )
-    serve_warm.add_argument(
-        "--backend",
-        choices=("auto", "thread", "process"),
-        default="auto",
-        help="execution tier: threads, worker processes with "
-        "shared-memory halves, or auto (pick per host and workload)",
-    )
 
     serve_batch = commands.add_parser(
         "serve-batch",
@@ -278,13 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="concurrent path-group workers",
-    )
-    serve_batch.add_argument(
-        "--backend",
-        choices=("auto", "thread", "process"),
-        default="auto",
-        help="execution tier: threads, worker processes with "
-        "shared-memory halves, or auto (pick per host and workload)",
     )
     serve_batch.add_argument(
         "--raw", action="store_true",
@@ -668,10 +650,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
             store = MatrixStore(args.store_dir)
         report = engine.warm(
-            args.paths,
-            workers=args.workers,
-            store=store,
-            backend=args.backend,
+            args.paths, workers=args.workers, store=store
         )
         print(report.summary())
         return 0
@@ -706,11 +685,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             TRACER.enable()
         try:
             result = server.run(
-                BatchRequest(
-                    queries,
-                    workers=args.workers,
-                    backend=args.backend,
-                )
+                BatchRequest(queries, workers=args.workers)
             )
         finally:
             if args.trace:

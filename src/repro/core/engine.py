@@ -69,7 +69,6 @@ class HeteSimEngine:
         self,
         graph: HeteroGraph,
         byte_budget: Optional[int] = None,
-        obs_label: Optional[str] = None,
     ) -> None:
         self.graph = graph
         self.cache = PathMatrixCache(graph, byte_budget=byte_budget)
@@ -88,10 +87,7 @@ class HeteSimEngine:
         # this).
         self._half_locks: Dict[_HalfKey, threading.Lock] = {}
         self._locks_guard = threading.Lock()
-        # A fixed label (e.g. "worker" inside process-pool workers)
-        # keeps cross-process registry merges to a bounded label set;
-        # the default stays a process-unique sequence.
-        self.obs_label = obs_label or instance_label("e")
+        self.obs_label = instance_label("e")
         self._materialisations = REGISTRY.counter(
             "repro_halves_materialisations_total",
             "Half-matrix materialisation events.",
@@ -99,10 +95,6 @@ class HeteSimEngine:
         self._memo_hits = REGISTRY.counter(
             "repro_halves_memo_hits_total",
             "halves() calls served from the fresh memo.",
-        ).labels(engine=self.obs_label)
-        self._adoptions = REGISTRY.counter(
-            "repro_halves_adoptions_total",
-            "Half-matrix tuples adopted from worker processes.",
         ).labels(engine=self.obs_label)
         #: The engine-backed :class:`~repro.core.measures.MeasureContext`:
         #: measure plugins resolved against it share this engine's
@@ -217,38 +209,6 @@ class HeteSimEngine:
             if self._halves.get(key) is entry:
                 del self._halves[key]
 
-    def adopt_halves(
-        self,
-        key: _HalfKey,
-        signature: Tuple[int, ...],
-        halves: Halves,
-    ) -> None:
-        """Install halves materialised elsewhere (a worker process).
-
-        ``signature`` must be the relations signature the halves were
-        computed under; the memo pairs it with the tuple exactly like
-        :meth:`halves` does, so staleness detection keeps working.
-        Counted as an *adoption*, not a materialisation -- the GEMM
-        happened in another process and its own engine counter (merged
-        into this registry by the process tier) already recorded it.
-        Workers run under the caller's exported execution scope, so
-        like :meth:`halves` nothing is memoised while it truncates, and
-        the adopted form counts against the byte budget.
-        """
-        if self.graph.relations_signature(key) != signature:
-            raise QueryError(
-                f"adopted halves for {key!r} were computed under a "
-                "stale graph signature"
-            )
-        with self._key_lock(key):
-            self._memoise(key, signature, halves)
-        self._adoptions.inc()
-
-    @property
-    def adoption_count(self) -> int:
-        """Total half-matrix tuples adopted from worker processes."""
-        return int(self._adoptions.value)
-
     def has_halves(self, path: MetaPath) -> bool:
         """True when fresh half matrices for ``path`` are memoised."""
         key = tuple(relation.name for relation in path.relations)
@@ -275,29 +235,15 @@ class HeteSimEngine:
         paths: Iterable[PathSpec],
         workers: int = 1,
         store=None,
-        backend: str = "auto",
     ):
         """Pre-materialise scoring forms (§4.6 off-line).
 
         Resolves ``paths``, materialises each distinct path's form --
-        concurrently when ``workers > 1`` -- and, when ``store`` (a
+        concurrently on a :class:`~repro.serve.dispatch.Dispatcher`
+        thread pool when ``workers > 1`` -- and, when ``store`` (a
         :class:`~repro.core.store.MatrixStore`) is given, persists the
         half-path ``PM`` matrices so a fresh process can reload them
         with :meth:`MatrixStore.load_into` instead of recomputing.
-
-        ``backend`` selects the execution tier: ``"thread"`` uses the
-        in-process :class:`~repro.serve.dispatch.Dispatcher`,
-        ``"process"`` materialises in a
-        :class:`~repro.serve.procs.ProcessDispatcher` pool (workers
-        publish each path's halves through shared memory and this
-        engine adopts them -- true multi-core parallelism for the
-        CPU-bound GEMMs), and ``"auto"`` (default) picks per
-        :func:`~repro.serve.procs.resolve_backend`: processes only when
-        the host has usable parallelism and the graph is large enough
-        for the fork/publish overhead to pay off.  Under the process
-        tier the parent's path-matrix cache holds no piece matrices, so
-        ``store`` persistence recomputes them in-parent; warm with a
-        store therefore prefers the thread tier under ``"auto"``.
 
         Odd (edge-object) paths are memoised in process like any other,
         but their transition halves are built from a decomposed edge
@@ -309,11 +255,6 @@ class HeteSimEngine:
         :class:`~repro.serve.dispatch.WarmReport`.
         """
         from ..serve.dispatch import Dispatcher, WarmReport
-        from ..serve.procs import (
-            graph_work_nnz,
-            resolve_backend,
-            warm_via_processes,
-        )
 
         started = time.perf_counter()
         distinct: Dict[_HalfKey, MetaPath] = {}
@@ -322,30 +263,13 @@ class HeteSimEngine:
             distinct.setdefault(
                 tuple(r.name for r in meta.relations), meta
             )
-        resolved = resolve_backend(
-            backend,
-            workers,
-            items=len(distinct),
-            work_nnz=graph_work_nnz(self.graph),
-            # Store persistence reads piece matrices out of *this*
-            # process's cache, which only the thread tier populates.
-            prefer_thread=store is not None,
-        )
         with trace_span(
             "engine.warm",
             paths=len(distinct),
             workers=workers,
             engine=self.obs_label,
-            backend=resolved,
         ):
-            if resolved == "process":
-                warm_via_processes(
-                    self, list(distinct.values()), workers
-                )
-            else:
-                Dispatcher(workers).map(
-                    self.halves, list(distinct.values())
-                )
+            Dispatcher(workers).map(self.halves, list(distinct.values()))
 
         persisted: List[str] = []
         skipped: List[str] = []
@@ -373,7 +297,6 @@ class HeteSimEngine:
             workers=workers,
             seconds=time.perf_counter() - started,
             skipped=tuple(skipped),
-            backend=resolved,
         )
 
     def runtime(

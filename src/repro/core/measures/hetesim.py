@@ -11,9 +11,8 @@ the same path) materialise each path's form exactly once.
 
 :class:`HeteSimPrepared` is the only code that turns the form into
 HeteSim scores: every engine method, the functional API in
-:mod:`repro.core.hetesim`, :mod:`repro.core.search`, the batch and
-process tiers and the degradation ladder's halves rungs score through
-it.
+:mod:`repro.core.hetesim`, :mod:`repro.core.search`, batch serving and
+the degradation ladder's halves rungs score through it.
 """
 
 from __future__ import annotations
@@ -72,9 +71,6 @@ class HeteSimPrepared(PreparedMeasure):
     costs one product.  CSR x CSR computes each output row on its own,
     so a row's scores never depend on the other rows in its block, and
     the inherited ``score_pair`` is bit-identical to its row entry.
-
-    The process tier's shard workers build one with ``ctx`` and
-    ``shape`` set to None: scoring rows needs only the form.
     """
 
     def __init__(self, ctx, shape, form) -> None:

@@ -75,23 +75,6 @@ class ResourceLimitError(ReproError):
         self.observed = observed
         self.allowed = allowed
 
-    def __reduce__(self):
-        # Exception.__reduce__ replays cls(*args), which cannot satisfy
-        # the keyword-only signature -- the default would make these
-        # errors explode in transit across a process pool.
-        return (
-            _rebuild_resource_limit_error,
-            (str(self), self.limit, self.observed, self.allowed),
-        )
-
-
-def _rebuild_resource_limit_error(
-    message: str, limit: str, observed: float, allowed: float
-) -> "ResourceLimitError":
-    return ResourceLimitError(
-        message, limit=limit, observed=observed, allowed=allowed
-    )
-
 
 class DeadlineExceededError(ResourceLimitError):
     """The query's wall-clock deadline elapsed before it finished."""
@@ -107,12 +90,6 @@ class DeadlineExceededError(ResourceLimitError):
         self.elapsed_ms = elapsed_ms
         self.deadline_ms = deadline_ms
 
-    def __reduce__(self):
-        return (
-            DeadlineExceededError,
-            (self.elapsed_ms, self.deadline_ms),
-        )
-
 
 class BudgetExceededError(ResourceLimitError):
     """A cumulative work budget (nnz, bytes, densified cells) ran out."""
@@ -124,12 +101,6 @@ class BudgetExceededError(ResourceLimitError):
             limit=limit,
             observed=observed,
             allowed=allowed,
-        )
-
-    def __reduce__(self):
-        return (
-            BudgetExceededError,
-            (self.limit, self.observed, self.allowed),
         )
 
 
@@ -172,9 +143,3 @@ class InjectedFaultError(ReproError):
         self.site = site
         self.occurrence = occurrence
         self.detail = detail
-
-    def __reduce__(self):
-        return (
-            InjectedFaultError,
-            (self.site, self.occurrence, self.detail),
-        )

@@ -167,19 +167,6 @@ class HeteroGraph:
                     relation.name
                 )
 
-    def __getstate__(self) -> Dict[str, object]:
-        # Lock objects cannot pickle; drop the mutation lock so a graph
-        # can cross a (spawn-mode) process boundary and give the copy a
-        # fresh lock on arrival.  The copy starts unshared, so a fresh
-        # lock preserves the version-counter guarantees.
-        state = dict(self.__dict__)
-        del state["_mutation_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._mutation_lock = threading.RLock()
-
     @property
     def version(self) -> int:
         """Monotonic mutation counter.

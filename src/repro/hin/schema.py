@@ -150,32 +150,19 @@ class NetworkSchema:
     """
 
     def __init__(self) -> None:
+        from .metapath import parse_path
+
         self._types_by_name: Dict[str, ObjectType] = {}
         self._types_by_code: Dict[str, ObjectType] = {}
         self._relations: Dict[str, RelationType] = {}
         # (source name, target name) -> list of relations in that direction
         self._by_endpoints: Dict[Tuple[str, str], List[RelationType]] = {}
-        self._init_path_memo()
-
-    def _init_path_memo(self) -> None:
-        from .metapath import parse_path
-
         # Compact string spec -> parsed MetaPath (immutable, so one
         # instance can be shared); thread-safe, and a spec that raises
         # is not stored.
         self._parse_code: Callable[[str], "MetaPath"] = functools.lru_cache(
             maxsize=PATH_MEMO_SIZE
         )(functools.partial(parse_path, self))
-
-    def __getstate__(self) -> Dict[str, object]:
-        # The memo's wrapper cannot be pickled; it is cheap to rebuild.
-        state = self.__dict__.copy()
-        del state["_parse_code"]
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._init_path_memo()
 
     # ------------------------------------------------------------------
     # construction

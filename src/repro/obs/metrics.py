@@ -12,7 +12,7 @@ carrying labelled child series -- because that is what the exporters in
 * :class:`Gauge` -- point-in-time levels (cache entries, held bytes).
 * :class:`Histogram` -- fixed cumulative buckets plus sum and count
   (GEMM wall time and nnz, batch group sizes).  Buckets are fixed at
-  construction, so merging across processes stays well-defined.
+  construction.
 
 Everything is thread-safe: one lock per child series, one registry
 lock for family creation.  There is no background thread and no I/O --
@@ -29,14 +29,12 @@ import bisect
 import itertools
 import threading
 from typing import (
-    Any,
     Callable,
     Dict,
     List,
     Optional,
     Sequence,
     Tuple,
-    TypedDict,
     Union,
     cast,
 )
@@ -51,9 +49,6 @@ __all__ = [
     "MetricsRegistry",
     "REGISTRY",
     "instance_label",
-    "export_state",
-    "diff_states",
-    "merge_delta",
 ]
 
 LabelPairs = Tuple[Tuple[str, str], ...]
@@ -237,29 +232,6 @@ class Histogram:
                 return lower + (upper - lower) * fraction
         return self.bounds[-1]
 
-    def state(self) -> Dict[str, object]:
-        """Raw (non-cumulative) state for snapshot / merge transport."""
-        with self._lock:
-            return {
-                "slots": tuple(self._slots),
-                "sum": self._sum,
-                "count": self._count,
-            }
-
-    def merge_state(self, state: Dict[str, Any]) -> None:
-        """Add another histogram's raw state (same bucket bounds)."""
-        slots = tuple(state["slots"])
-        if len(slots) != len(self.bounds) + 1:
-            raise QueryError(
-                f"cannot merge histogram state with {len(slots)} slots "
-                f"into {len(self.bounds) + 1} buckets"
-            )
-        with self._lock:
-            for position, slot in enumerate(slots):
-                self._slots[position] += int(slot)
-            self._sum += float(state["sum"])
-            self._count += int(state["count"])
-
 
 #: Any concrete child series a family can hold.
 MetricChild = Union[Counter, Gauge, Histogram]
@@ -430,138 +402,6 @@ REGISTRY = MetricsRegistry()
 
 _INSTANCE_IDS = itertools.count()
 _INSTANCE_LOCK = threading.Lock()
-
-
-class FamilyState(TypedDict):
-    """One family's snapshot entry (see :data:`RegistryState`).
-
-    The child payload is deliberately loose (``Any``): a counter child
-    is its float total, a histogram child its raw slots/sum/count dict,
-    and the whole structure crosses a pickle boundary between worker
-    and parent processes.
-    """
-
-    kind: str
-    help: str
-    buckets: Optional[Tuple[float, ...]]
-    children: Dict[LabelPairs, Any]
-
-
-#: Picklable registry snapshot: family name -> kind/help/buckets plus a
-#: per-label-key child payload (counter total or raw histogram state).
-RegistryState = Dict[str, FamilyState]
-
-
-def export_state(
-    registry: Optional[MetricsRegistry] = None,
-) -> RegistryState:
-    """Snapshot the *mergeable* series of a registry.
-
-    Counters and histograms are cumulative and therefore merge
-    additively across processes; gauges are point-in-time levels whose
-    cross-process sum has no meaning, so they are deliberately left out
-    of the snapshot (worker gauges describe the worker, not the fleet).
-    """
-    target = REGISTRY if registry is None else registry
-    state: RegistryState = {}
-    for family in target.families():
-        if family.kind == "gauge":
-            continue
-        children: Dict[LabelPairs, Any] = {}
-        for child in family.children():
-            if isinstance(child, Histogram):
-                children[child.labels] = child.state()
-            elif isinstance(child, Counter):
-                children[child.labels] = child.value
-        state[family.name] = {
-            "kind": family.kind,
-            "help": family.help,
-            "buckets": family.buckets,
-            "children": children,
-        }
-    return state
-
-
-def diff_states(
-    after: RegistryState, before: RegistryState
-) -> RegistryState:
-    """``after - before``: the increments recorded between snapshots.
-
-    Children (or whole families) absent from ``before`` count from
-    zero; non-positive changes are dropped, so a worker that recorded
-    nothing contributes an empty delta.
-    """
-    delta: RegistryState = {}
-    for name, family_after in after.items():
-        family_before = before.get(name)
-        before_children: Dict[LabelPairs, Any] = (
-            family_before["children"] if family_before is not None else {}
-        )
-        children: Dict[LabelPairs, Any] = {}
-        for key, value in family_after["children"].items():
-            previous = before_children.get(key)
-            if family_after["kind"] == "counter":
-                change = float(value) - float(previous or 0.0)
-                if change > 0:
-                    children[key] = change
-            else:
-                empty = {
-                    "slots": (0,) * len(value["slots"]),
-                    "sum": 0.0,
-                    "count": 0,
-                }
-                prior = previous or empty
-                slots = tuple(
-                    max(0, int(a) - int(b))
-                    for a, b in zip(value["slots"], prior["slots"])
-                )
-                count = int(value["count"]) - int(prior["count"])
-                total = float(value["sum"]) - float(prior["sum"])
-                if count > 0 or any(slots):
-                    children[key] = {
-                        "slots": slots,
-                        "sum": total,
-                        "count": count,
-                    }
-        if children:
-            delta[name] = {
-                "kind": family_after["kind"],
-                "help": family_after["help"],
-                "buckets": family_after["buckets"],
-                "children": children,
-            }
-    return delta
-
-
-def merge_delta(
-    delta: RegistryState,
-    registry: Optional[MetricsRegistry] = None,
-) -> None:
-    """Fold a :func:`diff_states` delta into a registry additively.
-
-    Families and labelled children are created on demand (with the
-    help text and buckets recorded in the delta), so a parent registry
-    absorbs series its own process never touched.
-    """
-    target = REGISTRY if registry is None else registry
-    for name, family_delta in delta.items():
-        if family_delta["kind"] == "counter":
-            family = target.counter(name, family_delta["help"])
-            for key, change in family_delta["children"].items():
-                child = family.labels(**dict(key))
-                cast(Counter, child).inc(float(change))
-        else:
-            buckets = family_delta["buckets"]
-            if buckets is None:  # pragma: no cover - deltas carry buckets
-                raise QueryError(
-                    f"histogram delta {name!r} carries no bucket bounds"
-                )
-            family = target.histogram(
-                name, family_delta["help"], buckets=buckets
-            )
-            for key, state in family_delta["children"].items():
-                child = family.labels(**dict(key))
-                cast(Histogram, child).merge_state(state)
 
 
 def instance_label(prefix: str) -> str:

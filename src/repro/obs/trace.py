@@ -120,23 +120,6 @@ class Span:
             node["children"] = [child.to_dict() for child in children]
         return node
 
-    @classmethod
-    def from_dict(cls, node: Dict[str, Any]) -> "Span":
-        """Rebuild a span subtree from its :meth:`to_dict` payload.
-
-        The cross-process grafting primitive: a worker serialises the
-        spans it recorded, and the parent rebuilds them and attaches
-        the result under its own ambient span, keeping one request tree
-        across the pool.  Durations carry over verbatim; the rebuilt
-        span is already finished.
-        """
-        rebuilt = cls(node["name"], **node.get("attributes", {}))
-        rebuilt.seconds = node.get("duration_ms", 0.0) / 1e3
-        rebuilt.error = node.get("error")
-        for child in node.get("children", ()):
-            rebuilt.add_child(cls.from_dict(child))
-        return rebuilt
-
     def render(self, indent: int = 0) -> str:
         """Human-readable indented subtree (the ``--trace`` output)."""
         attrs = " ".join(

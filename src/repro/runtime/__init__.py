@@ -28,25 +28,20 @@ from .faults import (
     SITE_STORE_READ,
     SITE_STORE_WRITE,
     FaultPlan,
-    FaultPlanExport,
     FaultSpec,
     ambient_faults,
 )
 from .limits import (
-    ContextExport,
     ExecutionContext,
     ExecutionLimits,
     LimitTracker,
     adopt_context,
-    adopt_exported_context,
     current_context,
     execution_scope,
-    export_context,
 )
 
 __all__ = [
     "Attempt",
-    "ContextExport",
     "DEFAULT_POLICY",
     "DegradedResult",
     "DoctorCheck",
@@ -54,7 +49,6 @@ __all__ = [
     "ExecutionContext",
     "ExecutionLimits",
     "FaultPlan",
-    "FaultPlanExport",
     "FaultSpec",
     "LimitTracker",
     "ResilientRuntime",
@@ -63,11 +57,9 @@ __all__ = [
     "SITE_STORE_WRITE",
     "Strategy",
     "adopt_context",
-    "adopt_exported_context",
     "ambient_faults",
     "current_context",
     "execution_scope",
-    "export_context",
     "run_doctor",
 ]
 

@@ -38,7 +38,6 @@ __all__ = [
     "SITE_STORE_WRITE",
     "FaultSpec",
     "FaultPlan",
-    "FaultPlanExport",
 ]
 
 #: Fired before every scheduled multiplication in the backend executor.
@@ -50,20 +49,6 @@ SITE_STORE_WRITE = "store.write"
 
 _SITES = (SITE_EXECUTOR_STEP, SITE_STORE_READ, SITE_STORE_WRITE)
 _ACTIONS = ("fail", "delay", "corrupt")
-
-
-@dataclass(frozen=True)
-class FaultPlanExport:
-    """Picklable snapshot of a :class:`FaultPlan`'s specs and progress.
-
-    The cross-process propagation form: a worker rebuilds a local plan
-    with :meth:`FaultPlan.adopt`, whose per-site counters *continue*
-    from the parent's occurrence counts, so ``(site, occurrence)``
-    matching stays identical to running the same work in-process.
-    """
-
-    specs: Tuple["FaultSpec", ...]
-    counters: Dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -171,40 +156,6 @@ class FaultPlan:
         with self._counter_lock:
             self._counters.clear()
             self.fired.clear()
-
-    # -- cross-process propagation -------------------------------------
-    def export(self) -> FaultPlanExport:
-        """Snapshot for shipping this plan into a worker process."""
-        with self._counter_lock:
-            return FaultPlanExport(
-                specs=self.specs, counters=dict(self._counters)
-            )
-
-    @classmethod
-    def adopt(cls, export: FaultPlanExport) -> "FaultPlan":
-        """A worker-local plan continuing the exported occurrence counts."""
-        plan = cls(export.specs)
-        plan._counters.update(export.counters)
-        return plan
-
-    def absorb(
-        self,
-        counters: Dict[str, int],
-        fired: Sequence[Tuple[str, int, str]],
-    ) -> None:
-        """Fold a worker plan's progress back into this (parent) plan.
-
-        Site counters advance to the worker's final counts and the
-        worker's fired entries append chronologically, so after the
-        absorb the parent plan reads exactly as if the worker's sites
-        had fired in-process.
-        """
-        with self._counter_lock:
-            for site, value in counters.items():
-                self._counters[site] = max(
-                    self._counters.get(site, 0), int(value)
-                )
-            self.fired.extend(tuple(entry) for entry in fired)
 
     def occurrences(self, site: str) -> int:
         """How many times ``site`` has been reached so far."""

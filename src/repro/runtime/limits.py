@@ -43,12 +43,9 @@ __all__ = [
     "ExecutionLimits",
     "LimitTracker",
     "ExecutionContext",
-    "ContextExport",
     "execution_scope",
     "adopt_context",
     "current_context",
-    "export_context",
-    "adopt_exported_context",
 ]
 
 
@@ -213,19 +210,6 @@ class LimitTracker:
             _LIMIT_TRIPS.labels(limit="max_densified_cells").inc()
             raise BudgetExceededError("max_densified_cells", cells, cap)
 
-    def absorb(self, nnz: int, nbytes: int, steps: int) -> None:
-        """Fold a worker tracker's charges into this (parent) tracker.
-
-        Unlike :meth:`charge` this never raises: the worker already
-        enforced its (parent-offset) budgets, so the absorb only keeps
-        the parent's cumulative counters truthful for the next
-        in-parent :meth:`charge`.
-        """
-        with self._charge_lock:
-            self.nnz_charged += int(nnz)
-            self.bytes_charged += int(nbytes)
-            self.steps_executed += int(steps)
-
 
 @dataclass
 class ExecutionContext:
@@ -284,98 +268,6 @@ def execution_scope(
         yield context
     finally:
         _CONTEXT.reset(token)
-
-
-@dataclass(frozen=True)
-class ContextExport:
-    """Picklable snapshot of an :class:`ExecutionContext` for workers.
-
-    ``started`` is the parent tracker's :func:`time.monotonic` origin.
-    ``CLOCK_MONOTONIC`` is system-wide on Linux, so a worker tracker
-    seeded with the same origin measures the *same* deadline window the
-    parent does -- a 50 ms budget does not restart when work hops to a
-    process.  ``nnz_charged`` / ``bytes_charged`` seed the worker's
-    cumulative budgets with everything the query already spent, so
-    cross-process budget trips match in-process ones.
-    """
-
-    limits: Optional[ExecutionLimits] = None
-    started: Optional[float] = None
-    nnz_charged: int = 0
-    bytes_charged: int = 0
-    faults: Optional[object] = None  # FaultPlanExport
-    truncate_eps: float = 0.0
-
-
-def export_context(
-    context: Optional[ExecutionContext] = None,
-) -> Optional[ContextExport]:
-    """Snapshot ``context`` (default: the ambient one) for a worker.
-
-    Returns None when there is nothing to propagate, letting callers
-    skip the adopt ceremony on the fast path.
-    """
-    from .faults import FaultPlan
-
-    if context is None:
-        context = current_context()
-    if context is None:
-        return None
-    tracker = context.tracker
-    faults = context.faults
-    return ContextExport(
-        limits=tracker.limits if tracker is not None else None,
-        started=tracker.started if tracker is not None else None,
-        nnz_charged=tracker.nnz_charged if tracker is not None else 0,
-        bytes_charged=(
-            tracker.bytes_charged if tracker is not None else 0
-        ),
-        faults=(
-            faults.export() if isinstance(faults, FaultPlan) else None
-        ),
-        truncate_eps=context.truncate_eps,
-    )
-
-
-@contextlib.contextmanager
-def adopt_exported_context(
-    export: Optional[ContextExport],
-) -> Iterator[Optional[ExecutionContext]]:
-    """Install a worker-local scope continuing an exported context.
-
-    The process-boundary counterpart of :func:`adopt_context`: the
-    tracker is rebuilt with the parent's clock origin and the budgets
-    already charged, and the fault plan continues the parent's per-site
-    occurrence counts, so limits and faults trip with the same typed
-    errors and the same provenance as in-process execution.  The
-    caller reads the scope's tracker / plan afterwards to report what
-    the task consumed (see ``repro.serve.procs``).
-
-    ``adopt_exported_context(None)`` is a no-op scope.
-    """
-    from .faults import FaultPlan
-
-    if export is None:
-        yield None
-        return
-    tracker: Optional[LimitTracker] = None
-    if export.limits is not None:
-        tracker = export.limits.tracker()
-        if export.started is not None:
-            tracker.started = export.started
-        tracker.nnz_charged = export.nnz_charged
-        tracker.bytes_charged = export.bytes_charged
-    faults = (
-        FaultPlan.adopt(export.faults)
-        if export.faults is not None
-        else None
-    )
-    with execution_scope(
-        tracker=tracker,
-        faults=faults,
-        truncate_eps=export.truncate_eps,
-    ) as context:
-        yield context
 
 
 @contextlib.contextmanager

@@ -13,12 +13,6 @@ fast under *many-query* load:
   of independent materialisations with ambient execution-context
   propagation (limits and fault plans keep applying inside workers) and
   in-flight deduplication (:mod:`repro.serve.dispatch`);
-* :class:`ProcessDispatcher` / :func:`resolve_backend` -- the
-  process-parallel tier (:mod:`repro.serve.procs`): CPU-bound block
-  GEMMs shard across a process pool with halves published through
-  :mod:`multiprocessing.shared_memory`, limits/faults/metrics/spans
-  carried over the boundary; ``backend="auto"`` picks the tier per
-  host and workload;
 * :class:`WarmReport` / :meth:`HeteSimEngine.warm
   <repro.core.engine.HeteSimEngine.warm>` -- the off-line stage as an
   API: pre-materialise half matrices and persist them through
@@ -57,7 +51,7 @@ from .batch import (
 )
 from .dispatch import Dispatcher, SingleFlight, WarmReport
 from .http import HttpRequest, HttpResponse, HttpServer
-from .procs import ProcessDispatcher, resolve_backend, usable_cpus
+from .procs import usable_cpus
 
 __all__ = [
     "Admission",
@@ -69,7 +63,6 @@ __all__ = [
     "HttpRequest",
     "HttpResponse",
     "HttpServer",
-    "ProcessDispatcher",
     "Query",
     "QueryResult",
     "QueryServer",
@@ -78,7 +71,6 @@ __all__ = [
     "TokenBucket",
     "WarmReport",
     "load_tenants",
-    "resolve_backend",
     "serve_batch",
     "tenants_from_config",
     "usable_cpus",

@@ -109,7 +109,7 @@ class Query:
 
 @dataclass(frozen=True)
 class BatchRequest:
-    """A batch of queries plus the execution tier and concurrency.
+    """A batch of queries plus its concurrency.
 
     An empty ``queries`` sequence is a valid (if trivial) batch: the
     server answers it with a well-formed empty
@@ -120,39 +120,19 @@ class BatchRequest:
     distinct groups in parallel; ``workers=1`` runs everything
     sequentially in the calling thread and is the reference semantics
     -- parallel runs return identical results.
-
-    ``backend`` selects the execution tier: ``"thread"`` (the
-    in-process dispatcher), ``"process"`` (the
-    :mod:`repro.serve.procs` tier -- HeteSim groups shard their block
-    GEMM across a process pool via shared-memory halves), or
-    ``"auto"`` (default), which resolves per
-    :func:`~repro.serve.procs.resolve_backend` -- processes only when
-    the host has usable multi-core parallelism and the graph is large
-    enough to amortise the fork.  Every backend returns byte-identical
-    results.
     """
 
     queries: Tuple[Query, ...]
     workers: int = 1
-    backend: str = "auto"
 
     def __init__(
-        self,
-        queries: Sequence[Query],
-        workers: int = 1,
-        backend: str = "auto",
+        self, queries: Sequence[Query], workers: int = 1
     ) -> None:
         queries = tuple(queries)
         if workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
-        if backend not in ("auto", "thread", "process"):
-            raise QueryError(
-                f"unknown backend {backend!r} "
-                "(expected 'auto', 'thread' or 'process')"
-            )
         object.__setattr__(self, "queries", queries)
         object.__setattr__(self, "workers", workers)
-        object.__setattr__(self, "backend", backend)
 
 
 @dataclass(frozen=True)
@@ -169,16 +149,13 @@ class BatchStats:
 
     ``halves_materialised`` counts the half-matrix materialisation
     *events* the batch actually triggered, read as a delta of the
-    engine's ``repro_halves_materialisations_total`` plus
-    ``repro_halves_adoptions_total`` counters around the dispatch (the
-    process tier materialises in a worker and *adopts* the published
-    result, which is still one event this batch caused) -- on a warm
-    engine it is 0, on a cold one it equals the number of distinct
-    paths HeteSim-family groups (including ``combined`` components)
-    needed.  Counting events (rather than pre-probing ``has_halves``
-    before dispatch) keeps the number honest when concurrent traffic
-    or a racing ``warm()`` materialises a group's halves between the
-    probe and the scoring.
+    engine's ``repro_halves_materialisations_total`` counter around the
+    dispatch -- on a warm engine it is 0, on a cold one it equals the
+    number of distinct paths HeteSim-family groups (including
+    ``combined`` components) needed.  Counting events (rather than
+    pre-probing ``has_halves`` before dispatch) keeps the number honest
+    when concurrent traffic or a racing ``warm()`` materialises a
+    group's halves between the probe and the scoring.
     """
 
     num_queries: int
@@ -187,20 +164,14 @@ class BatchStats:
     halves_materialised: int
     workers: int
     seconds: float
-    backend: str = "thread"
 
     def summary(self) -> str:
         """One-line rendering (the ``serve-batch`` CLI footer)."""
-        backend = (
-            f" [{self.backend} backend]"
-            if self.backend != "thread"
-            else ""
-        )
         return (
             f"batch: {self.num_queries} queries in {self.num_groups} "
             f"group(s) {list(self.group_sizes)}, "
             f"{self.halves_materialised} half materialisation(s), "
-            f"{self.workers} worker(s){backend}, "
+            f"{self.workers} worker(s), "
             f"{self.seconds * 1e3:.1f} ms"
         )
 
@@ -258,18 +229,14 @@ class QueryServer:
         """Build a server (and its engine) directly from a graph."""
         return cls(HeteSimEngine(graph, byte_budget=byte_budget))
 
-    def warm(
-        self, paths, workers: int = 1, store=None, backend: str = "auto"
-    ):
+    def warm(self, paths, workers: int = 1, store=None):
         """Pre-materialise halves for ``paths`` (§4.6 off-line stage).
 
         Delegates to :meth:`HeteSimEngine.warm
         <repro.core.engine.HeteSimEngine.warm>`; see there for the
-        ``store`` persistence contract and the ``backend`` tiers.
+        ``store`` persistence contract.
         """
-        return self.engine.warm(
-            paths, workers=workers, store=store, backend=backend
-        )
+        return self.engine.warm(paths, workers=workers, store=store)
 
     def run(self, request: BatchRequest, limits=None) -> BatchResult:
         """Answer every query of ``request``; order is preserved.
@@ -293,11 +260,6 @@ class QueryServer:
                 return self.run(request)
 
         from .dispatch import Dispatcher
-        from .procs import (
-            graph_work_nnz,
-            resolve_backend,
-            score_groups_via_processes,
-        )
 
         started = time.perf_counter()
         groups = self._group(request.queries)
@@ -309,36 +271,17 @@ class QueryServer:
             _GROUP_SIZES.labels(measure=group.measure.name).observe(
                 len(group.members)
             )
-        backend = resolve_backend(
-            request.backend,
-            request.workers,
-            items=len(request.queries),
-            work_nnz=graph_work_nnz(self.engine.graph),
-        )
-        before = (
-            self.engine.materialisation_count
-            + self.engine.adoption_count
-        )
+        before = self.engine.materialisation_count
         with trace_span(
             "batch.run",
             queries=len(request.queries),
             groups=len(groups),
             workers=request.workers,
-            backend=backend,
         ):
-            if backend == "process":
-                rankings_per_group = score_groups_via_processes(
-                    self, groups, request.workers
-                )
-            else:
-                rankings_per_group = Dispatcher(request.workers).map(
-                    self._score_group, groups
-                )
-        materialised = (
-            self.engine.materialisation_count
-            + self.engine.adoption_count
-            - before
-        )
+            rankings_per_group = Dispatcher(request.workers).map(
+                self._score_group, groups
+            )
+        materialised = self.engine.materialisation_count - before
 
         results: List[Optional[QueryResult]] = [None] * len(
             request.queries
@@ -359,7 +302,6 @@ class QueryServer:
             halves_materialised=materialised,
             workers=request.workers,
             seconds=time.perf_counter() - started,
-            backend=backend,
         )
         return BatchResult(results=tuple(results), stats=stats)
 
@@ -426,42 +368,21 @@ class QueryServer:
             nnz = getattr(prepared, "last_block_nnz", None)
             if nnz is None:
                 nnz = int(np.count_nonzero(blocks[flags[0]]))
-            self._observe_group(group, gemm_seconds, nnz)
+            _GEMM_SECONDS.labels(measure=group.measure.name).observe(
+                gemm_seconds
+            )
+            _GEMM_NNZ.labels(measure=group.measure.name).observe(nnz)
             group_span.set(
                 gemm_ms=round(gemm_seconds * 1e3, 3), nnz=nnz
             )
             keys = prepared.target_keys()
-            return self._select(group, rows, blocks, keys)
-
-    def _observe_group(self, group: _Group, gemm_seconds, nnz) -> None:
-        """Record one group's block-pass metrics (any backend)."""
-        measure_label = group.measure.name
-        _GEMM_SECONDS.labels(measure=measure_label).observe(
-            gemm_seconds
-        )
-        _GEMM_NNZ.labels(measure=measure_label).observe(nnz)
-
-    def _select(
-        self,
-        group: _Group,
-        rows: Sequence[int],
-        blocks: Dict[bool, np.ndarray],
-        keys: Sequence[str],
-    ) -> List[Tuple[Tuple[str, float], ...]]:
-        """Per-query top-k selection over a group's scored blocks.
-
-        Shared by the thread and process tiers (the process tier
-        reassembles its shard blocks into the same ``rows``-ordered
-        layout first), so the deterministic (-score, key) selection
-        cannot drift between backends.
-        """
-        row_position = {row: i for i, row in enumerate(rows)}
-        rankings: List[Tuple[Tuple[str, float], ...]] = []
-        for _, query, row in group.members:
-            scores = blocks[query.normalized][row_position[row]]
-            k = len(keys) if query.k is None else query.k
-            rankings.append(tuple(select_top_k(scores, keys, k)))
-        return rankings
+            row_position = {row: i for i, row in enumerate(rows)}
+            rankings: List[Tuple[Tuple[str, float], ...]] = []
+            for _, query, row in group.members:
+                scores = blocks[query.normalized][row_position[row]]
+                k = len(keys) if query.k is None else query.k
+                rankings.append(tuple(select_top_k(scores, keys, k)))
+            return rankings
 
 
 def serve_batch(

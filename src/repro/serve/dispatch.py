@@ -167,10 +167,6 @@ class WarmReport:
     cannot round-trip through a matrix store: they were memoised for
     this process but a fresh process must recompute them.  An empty
     tuple when no store was given or every path persisted fully.
-
-    ``backend`` records the execution tier that actually ran
-    (``"thread"`` or ``"process"`` -- an ``"auto"`` request resolves
-    before work starts).
     """
 
     paths: Tuple[str, ...]
@@ -178,7 +174,6 @@ class WarmReport:
     workers: int
     seconds: float
     skipped: Tuple[str, ...] = ()
-    backend: str = "thread"
 
     def summary(self) -> str:
         """One-line rendering (the ``serve-warm`` CLI output)."""
@@ -193,13 +188,8 @@ class WarmReport:
             if self.skipped
             else ""
         )
-        backend = (
-            f" [{self.backend} backend]"
-            if self.backend != "thread"
-            else ""
-        )
         return (
             f"warmed {len(self.paths)} path(s) "
-            f"[{', '.join(self.paths)}] with {self.workers} worker(s)"
-            f"{backend} in {self.seconds * 1e3:.1f} ms{persisted}{skipped}"
+            f"[{', '.join(self.paths)}] with {self.workers} worker(s) "
+            f"in {self.seconds * 1e3:.1f} ms{persisted}{skipped}"
         )

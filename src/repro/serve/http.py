@@ -247,7 +247,9 @@ class HttpServer:
         Server-wide :class:`~repro.runtime.limits.ExecutionLimits`
         intersected with each tenant's own (strictest wins).
     workers:
-        Size of the CPU worker pool query work is offloaded to.
+        Size of the CPU worker pool query work is offloaded to; also
+        the largest ``workers`` a ``/batch`` or ``/warm`` body may ask
+        for.
     graph_path / store_dir:
         When given, ``GET /doctor`` runs the full store doctor
         (:func:`~repro.runtime.doctor.run_doctor`); otherwise it
@@ -834,17 +836,24 @@ class HttpServer:
                     measure=str(entry.get("measure", "hetesim")),
                 )
             )
-        workers = _optional_int(payload, "workers", 1)
-        backend = payload.get("backend", "auto")
-        if not isinstance(backend, str):
-            raise _HttpError(400, "body field 'backend' must be a string")
-        try:
-            request = BatchRequest(
-                queries, workers=workers, backend=backend
-            )
-        except QueryError as exc:
-            raise _HttpError(400, str(exc)) from exc
+        request = BatchRequest(
+            queries, workers=self._requested_workers(payload)
+        )
         return self._run_batch(tenant, request, single=False)
+
+    def _requested_workers(self, payload: Dict[str, Any]) -> int:
+        """The body's ``workers``, bounded by the offload pool's size.
+
+        The value sizes a thread pool per request, so a client may not
+        ask for more threads than the operator gave the whole server.
+        """
+        workers = _optional_int(payload, "workers", 1)
+        if not 1 <= workers <= self.workers:
+            raise _HttpError(
+                400,
+                f"body field 'workers' must be in [1, {self.workers}]",
+            )
+        return workers
 
     def _run_batch(
         self, tenant: Tenant, request: BatchRequest, single: bool
@@ -891,7 +900,6 @@ class HttpServer:
                 "num_queries": stats.num_queries,
                 "num_groups": stats.num_groups,
                 "workers": stats.workers,
-                "backend": stats.backend,
                 "halves_materialised": stats.halves_materialised,
                 "seconds": stats.seconds,
             },
@@ -914,9 +922,7 @@ class HttpServer:
             raise _HttpError(
                 400, "body field 'paths' must be a list of strings"
             )
-        workers = _optional_int(payload, "workers", 1)
-        if workers < 1:
-            raise _HttpError(400, "body field 'workers' must be >= 1")
+        workers = self._requested_workers(payload)
         try:
             report = self.server.warm(raw_paths, workers=workers)
         except ReproError as exc:
@@ -928,7 +934,6 @@ class HttpServer:
                 "persisted": list(report.persisted),
                 "skipped": list(report.skipped),
                 "workers": report.workers,
-                "backend": report.backend,
                 "seconds": report.seconds,
             },
         )

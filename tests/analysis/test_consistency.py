@@ -1,14 +1,10 @@
-"""Project-scoped rules: RPR012 (metrics), RPR013 (layers), RPR014 (pickling)."""
+"""Project-scoped rules: RPR012 (metrics), RPR013 (layers)."""
 
 import ast
 import textwrap
 from pathlib import Path
 
-from repro.analysis import (
-    ImportLayeringRule,
-    MetricsCatalogueRule,
-    PicklableWorkerErrorRule,
-)
+from repro.analysis import ImportLayeringRule, MetricsCatalogueRule
 from repro.analysis.core import SourceFile
 from repro.analysis.project import ProjectContext
 
@@ -263,146 +259,5 @@ class TestImportLayeringRule:
                 ),
                 ("src/repro/core/beta.py", "import repro.core.alpha\n"),
             ],
-        )
-        assert triples == []
-
-
-class TestPicklableWorkerErrorRule:
-    WORKER = (
-        "src/repro/serve/procs.py",
-        """\
-        def run_task(key):
-            return work(key)
-        """,
-    )
-
-    def test_non_forwarding_init_flagged_at_raise_site(self):
-        triples, findings = run(
-            PicklableWorkerErrorRule(),
-            [
-                self.WORKER,
-                (
-                    "src/repro/core/work.py",
-                    """\
-                    def work(key):
-                        if key is None:
-                            raise ShardError("missing shard", 3)
-                        return key
-                    """,
-                ),
-                (
-                    "src/repro/hin/errors.py",
-                    """\
-                    class ShardError(Exception):
-                        def __init__(self, message, shard):
-                            super().__init__(message)
-                            self.shard = shard
-                    """,
-                ),
-            ],
-        )
-        assert triples == [("RPR014", "src/repro/core/work.py", 3)]
-        assert "ShardError" in findings[0].message
-        assert "does not forward" in findings[0].message
-
-    def test_forwarding_init_passes(self):
-        triples, _ = run(
-            PicklableWorkerErrorRule(),
-            [
-                self.WORKER,
-                (
-                    "src/repro/core/work.py",
-                    """\
-                    def work(key):
-                        raise ShardError("missing", key)
-                    """,
-                ),
-                (
-                    "src/repro/hin/errors.py",
-                    """\
-                    class ShardError(Exception):
-                        def __init__(self, message, shard):
-                            super().__init__(message, shard)
-                            self.shard = shard
-                    """,
-                ),
-            ],
-        )
-        assert triples == []
-
-    def test_reduce_passes(self):
-        triples, _ = run(
-            PicklableWorkerErrorRule(),
-            [
-                self.WORKER,
-                (
-                    "src/repro/core/work.py",
-                    'def work(key):\n    raise ShardError("missing", key)\n',
-                ),
-                (
-                    "src/repro/hin/errors.py",
-                    """\
-                    class ShardError(Exception):
-                        def __init__(self, message, shard):
-                            super().__init__(message)
-                            self.shard = shard
-
-                        def __reduce__(self):
-                            return (type(self), (self.args[0], self.shard))
-                    """,
-                ),
-            ],
-        )
-        assert triples == []
-
-    def test_default_init_passes(self):
-        triples, _ = run(
-            PicklableWorkerErrorRule(),
-            [
-                self.WORKER,
-                (
-                    "src/repro/core/work.py",
-                    'def work(key):\n    raise ShardError("missing")\n',
-                ),
-                (
-                    "src/repro/hin/errors.py",
-                    "class ShardError(Exception):\n    pass\n",
-                ),
-            ],
-        )
-        assert triples == []
-
-    def test_unreachable_raise_ignored(self):
-        triples, _ = run(
-            PicklableWorkerErrorRule(),
-            [
-                self.WORKER,
-                (
-                    "src/repro/core/work.py",
-                    "def work(key):\n    return key\n",
-                ),
-                (
-                    "src/repro/core/offline.py",
-                    """\
-                    def offline(key):
-                        raise ShardError("missing", 3)
-                    """,
-                ),
-                (
-                    "src/repro/hin/errors.py",
-                    """\
-                    class ShardError(Exception):
-                        def __init__(self, message, shard):
-                            super().__init__(message)
-                    """,
-                ),
-            ],
-        )
-        assert triples == []
-
-    def test_no_worker_module_is_silent(self):
-        triples, _ = run(
-            PicklableWorkerErrorRule(),
-            [("src/repro/core/work.py", "def work():\n    pass\n")],
         )
         assert triples == []

@@ -1,4 +1,4 @@
-"""ProjectContext: module naming, import resolution, indexes, reachability."""
+"""ProjectContext: module naming and import resolution."""
 
 import ast
 import textwrap
@@ -107,61 +107,3 @@ class TestImportResolution:
         (edge,) = ctx.modules["repro.m"].imports
         assert edge.names == ("FAMILY",)
         assert edge.bound == ("METRIC",)
-
-
-class TestIndexesAndHierarchy:
-    FILES = (
-        (
-            "src/repro/hin/errors.py",
-            """\
-            class ReproError(Exception):
-                pass
-
-            class QueryError(ReproError):
-                def __init__(self, message, key):
-                    super().__init__(message, key)
-            """,
-        ),
-        (
-            "src/repro/core/search.py",
-            """\
-            def rank(scores):
-                return order(scores)
-
-            def order(scores):
-                return scores
-            """,
-        ),
-    )
-
-    def test_class_chain_walks_project_bases(self):
-        ctx = project(*self.FILES)
-        chain = {decl.name for decl in ctx.class_chain("QueryError")}
-        assert chain == {"QueryError", "ReproError"}
-
-    def test_functions_indexed_by_bare_name(self):
-        ctx = project(*self.FILES)
-        assert {d.module for d in ctx.functions["rank"]} == {
-            "repro.core.search"
-        }
-
-    def test_reachability_closure_follows_calls(self):
-        ctx = project(*self.FILES)
-        roots = ctx.functions["rank"]
-        reached = {d.name for d in ctx.reachable_functions(roots)}
-        assert reached == {"rank", "order"}
-
-    def test_constructor_call_reaches_init(self):
-        ctx = project(
-            *self.FILES,
-            (
-                "src/repro/serve/worker.py",
-                """\
-                def run(key):
-                    raise QueryError("missing", key)
-                """,
-            ),
-        )
-        roots = ctx.functions["run"]
-        reached = {d.name for d in ctx.reachable_functions(roots)}
-        assert "__init__" in reached

@@ -1,4 +1,4 @@
-"""Fixture-driven tests for the local rule pack (RPR001-003, 005, 006, 008, 009).
+"""Fixture-driven tests for the local rule pack (RPR001-003, 005, 006, 008, 011).
 
 Each rule gets at least one *bad* snippet (asserting the exact rule id
 and line) and one *good* snippet (asserting silence), so every rule is
@@ -12,11 +12,11 @@ import pytest
 
 from repro.analysis import (
     ContextPropagationRule,
+    ContextTokenRule,
     DensifyRule,
     FloatEqualityRule,
     MaterialiseImportRule,
     NondeterminismRule,
-    SharedMemoryLeaseRule,
     TypedErrorRule,
 )
 from repro.analysis.core import SourceFile
@@ -308,114 +308,117 @@ class TestMaterialiseImportRule:
         assert findings == []
 
 
-class TestSharedMemoryLeaseRule:
-    def test_bare_construction_flagged_with_line(self):
+class TestContextTokenRule:
+    def test_unreset_token_flagged(self):
         findings = lint(
-            SharedMemoryLeaseRule(),
+            ContextTokenRule(),
             """\
-            from multiprocessing import shared_memory
+            from contextvars import ContextVar
 
-            def publish(nbytes):
-                segment = shared_memory.SharedMemory(create=True, size=nbytes)
-                return segment.name
+            LIMITS = ContextVar("limits")
+
+            def apply(ctx, fast):
+                token = LIMITS.set(ctx)
+                if fast:
+                    return None
+                LIMITS.reset(token)
             """,
         )
-        assert [(f.rule, f.line) for f in findings] == [("RPR009", 4)]
-        assert "ShmLease" in findings[0].message
+        assert [(f.rule, f.line) for f in findings] == [("RPR011", 6)]
 
-    def test_unassigned_attach_flagged(self):
+    def test_discarded_token_flagged(self):
         findings = lint(
-            SharedMemoryLeaseRule(),
+            ContextTokenRule(),
             """\
-            from multiprocessing.shared_memory import SharedMemory
+            from contextvars import ContextVar
 
-            def peek(name):
-                return SharedMemory(name=name).buf[0]
+            LIMITS = ContextVar("limits")
+
+            def apply(ctx):
+                LIMITS.set(ctx)
             """,
         )
-        assert [f.rule for f in findings] == ["RPR009"]
+        assert [(f.rule, f.line) for f in findings] == [("RPR011", 6)]
 
-    def test_adopt_guard_call_allowed(self):
+    def test_finally_reset_passes(self):
         findings = lint(
-            SharedMemoryLeaseRule(),
+            ContextTokenRule(),
             """\
-            from multiprocessing import shared_memory
+            from contextvars import ContextVar
 
-            def publish(lease, nbytes):
-                return lease.adopt(
-                    shared_memory.SharedMemory(create=True, size=nbytes)
-                )
-            """,
-        )
-        assert findings == []
+            LIMITS = ContextVar("limits")
 
-    def test_bound_name_later_adopted_allowed(self):
-        findings = lint(
-            SharedMemoryLeaseRule(),
-            """\
-            from multiprocessing import shared_memory
-
-            def open_segment(name, lease):
-                segment = shared_memory.SharedMemory(name=name)
-                return lease.adopt(segment)
-            """,
-        )
-        assert findings == []
-
-    def test_finally_close_allowed(self):
-        findings = lint(
-            SharedMemoryLeaseRule(),
-            """\
-            from multiprocessing.shared_memory import SharedMemory
-
-            def read(name):
-                segment = SharedMemory(name=name)
+            def apply(ctx):
+                token = LIMITS.set(ctx)
                 try:
-                    return bytes(segment.buf)
+                    work()
                 finally:
-                    segment.close()
+                    LIMITS.reset(token)
             """,
         )
         assert findings == []
 
-    def test_finally_unlink_allowed(self):
+    def test_returned_token_is_ownership_transfer(self):
         findings = lint(
-            SharedMemoryLeaseRule(),
+            ContextTokenRule(),
             """\
-            from multiprocessing.shared_memory import SharedMemory
+            from contextvars import ContextVar
 
-            def destroy(name):
-                segment = SharedMemory(name=name)
+            LIMITS = ContextVar("limits")
+
+            def enter(ctx):
+                token = LIMITS.set(ctx)
+                return token
+            """,
+        )
+        assert findings == []
+
+    def test_non_contextvar_set_ignored(self):
+        findings = lint(
+            ContextTokenRule(),
+            """\
+            from contextvars import ContextVar
+
+            LIMITS = ContextVar("limits")
+
+            def store(bag, value):
+                bag.set(value)
+            """,
+        )
+        assert findings == []
+
+    def test_attribute_token_is_ownership_transfer(self):
+        findings = lint(
+            ContextTokenRule(),
+            """\
+            from contextvars import ContextVar
+
+            LIMITS = ContextVar("limits")
+
+            class Scope:
+                def __enter__(self):
+                    self._token = LIMITS.set(self)
+
+                def __exit__(self, *exc_info):
+                    LIMITS.reset(self._token)
+            """,
+        )
+        assert findings == []
+
+    def test_finally_without_reset_flagged(self):
+        findings = lint(
+            ContextTokenRule(),
+            """\
+            from contextvars import ContextVar
+
+            LIMITS = ContextVar("limits")
+
+            def apply(ctx):
+                token = LIMITS.set(ctx)
                 try:
-                    segment.close()
+                    work()
                 finally:
-                    segment.unlink()
+                    cleanup(token)
             """,
         )
-        assert findings == []
-
-    def test_close_outside_finally_still_flagged(self):
-        findings = lint(
-            SharedMemoryLeaseRule(),
-            """\
-            from multiprocessing.shared_memory import SharedMemory
-
-            def read(name):
-                segment = SharedMemory(name=name)
-                payload = bytes(segment.buf)
-                segment.close()
-                return payload
-            """,
-        )
-        assert [f.rule for f in findings] == ["RPR009"]
-
-    def test_unrelated_calls_silent(self):
-        findings = lint(
-            SharedMemoryLeaseRule(),
-            """\
-            def f(store):
-                handle = store.SharedMemoryView()
-                return handle
-            """,
-        )
-        assert findings == []
+        assert [(f.rule, f.line) for f in findings] == [("RPR011", 6)]

@@ -67,15 +67,13 @@ def test_project_rules_are_registered_and_ran():
     # cross-module invariants held (not that the rules were dropped).
     from repro.analysis import registered_rules
 
-    assert {"RPR010", "RPR011", "RPR012", "RPR013", "RPR014"} <= set(
-        registered_rules()
-    )
+    assert {"RPR011", "RPR012", "RPR013"} <= set(registered_rules())
 
 
 def test_project_findings_all_baselined(audit):
     # No *unbaselined* project-rule findings; the baselined RPR013
     # entries are the documented core->runtime/serve inversions.
-    project_rules = {"RPR010", "RPR011", "RPR012", "RPR013", "RPR014"}
+    project_rules = {"RPR011", "RPR012", "RPR013"}
     leaked = [f for f in audit.findings if f.rule in project_rules]
     assert leaked == [], [f.location() for f in leaked]
 

@@ -315,18 +315,6 @@ class TestTruncatedProductsNeverStored:
         ranking = QueryServer(engine).run(request).results[0].ranking
         assert list(ranking) == self.exact(fig4)
 
-    def test_process_tier_adoption_under_truncation(self, fig4):
-        from repro.serve.batch import BatchRequest, Query, QueryServer
-
-        engine = HeteSimEngine(fig4)
-        queries = [Query("KDD", self.SPEC, k=2), Query("Tom", "APC")]
-        with execution_scope(truncate_eps=0.3):
-            QueryServer(engine).run(
-                BatchRequest(queries, workers=2, backend="process")
-            )
-        assert not engine.has_halves(engine.path(self.SPEC))
-        assert engine.top_k("KDD", self.SPEC, k=2) == self.exact(fig4)
-
     def test_cache_neither_stores_nor_seeds(self, fig4):
         from repro.core.cache import PathMatrixCache
 

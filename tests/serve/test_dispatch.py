@@ -2,7 +2,8 @@
 
 The properties the batch layer builds on: ordered results, ambient
 execution-context propagation into worker threads, exception
-propagation, and one-computation-per-key under concurrency.
+propagation, and one-computation-per-key under concurrency.  Also the
+host CPU count that worker counts are compared against.
 """
 
 from __future__ import annotations
@@ -13,7 +14,11 @@ import pytest
 
 from repro.hin.errors import QueryError
 from repro.runtime.limits import current_context, execution_scope
-from repro.serve import Dispatcher, SingleFlight
+from repro.serve import Dispatcher, SingleFlight, usable_cpus
+
+
+def test_usable_cpus_positive():
+    assert usable_cpus() >= 1
 
 
 class TestDispatcher:

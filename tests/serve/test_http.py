@@ -230,6 +230,33 @@ class TestQueryEndpoints:
         assert body["paths"] == ["APC", "APCPA"]
 
 
+class TestWorkersBound:
+    """A body's ``workers`` sizes a thread pool for that one request,
+    so it may not exceed the server's own offload pool."""
+
+    @pytest.mark.parametrize(
+        "endpoint, body",
+        [
+            ("/batch", {"queries": [{"source": "Tom", "path": "APC"}]}),
+            ("/warm", {"paths": ["APC"]}),
+        ],
+    )
+    def test_workers_above_pool_size_400(self, server, endpoint, body):
+        for workers in (server.workers + 1, 10**9):
+            status, _, reply = request(
+                server, "POST", endpoint, {**body, "workers": workers}
+            )
+            assert status == 400, (workers, reply)
+            assert "workers" in reply["detail"]
+        assert server.admission.depth == 0
+        status, _, reply = request(
+            server, "POST", endpoint, {**body, "workers": server.workers}
+        )
+        assert status == 200
+        stats = reply if endpoint == "/warm" else reply["stats"]
+        assert stats["workers"] == server.workers
+
+
 class TestAdmission:
     @pytest.fixture()
     def auth_server(self, engine):
