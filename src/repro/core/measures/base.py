@@ -65,15 +65,43 @@ _MEASURE_QUERIES = REGISTRY.counter(
 _SERIES: Dict[Tuple[str, str], Any] = {}
 
 
-def _count(family, measure: str) -> None:
-    """``family.labels(measure=measure).inc()``, the child memoised:
-    the label lookup costs more than the increment on hot query paths."""
+def measure_series(family, measure: str):
+    """``family.labels(measure=measure)``, the child memoised: the
+    label lookup costs more than the update on hot query paths."""
     child = _SERIES.get((family.name, measure))
     if child is None:
         child = _SERIES.setdefault(
             (family.name, measure), family.labels(measure=measure)
         )
-    child.inc()
+    return child
+
+
+def _count(family, measure: str) -> None:
+    """``family.labels(measure=measure).inc()`` through
+    :func:`measure_series`."""
+    measure_series(family, measure).inc()
+
+
+def _pick_rows(
+    matrix: sparse.csr_matrix, rows: Sequence[int]
+) -> sparse.csr_matrix:
+    """``matrix[rows]`` with the rows' stored entries in stored order.
+
+    One row is taken by ``getrow``; several are gathered with numpy,
+    which costs about half of scipy's fancy row indexing.
+    """
+    if len(rows) == 1:
+        return matrix.getrow(rows[0])
+    picked = np.asarray(rows, dtype=np.intp)
+    starts = matrix.indptr[picked]
+    lengths = matrix.indptr[picked + 1] - starts
+    indptr = np.zeros(len(picked) + 1, dtype=matrix.indptr.dtype)
+    np.cumsum(lengths, out=indptr[1:])
+    take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+    return sparse.csr_matrix(
+        (matrix.data[take], matrix.indices[take], indptr),
+        shape=(len(picked), matrix.shape[1]),
+    )
 
 
 class MeasureContext:

@@ -133,6 +133,23 @@ def combined_spec_string(
     )
 
 
+def _combined_shape(
+    components: Sequence[Tuple[MetaPath, float]]
+) -> QueryShape:
+    """The :class:`QueryShape` of parsed components: grouped by every
+    component's relation names and weight."""
+    first = components[0][0]
+    return QueryShape(
+        group_key=tuple(
+            (tuple(r.name for r in meta.relations), weight)
+            for meta, weight in components
+        ),
+        source_type=first.source_type.name,
+        target_type=first.target_type.name,
+        display=combined_spec_string(components),
+    )
+
+
 class CombinedPrepared(PreparedMeasure):
     """Per-component HeteSim prepared states plus their weights."""
 
@@ -164,17 +181,7 @@ class CombinedMeasure(Measure):
     supports_multi_path = True
 
     def resolve(self, ctx: MeasureContext, spec) -> QueryShape:
-        components = parse_combined_spec(ctx, spec)
-        first = components[0][0]
-        return QueryShape(
-            group_key=tuple(
-                (tuple(r.name for r in meta.relations), weight)
-                for meta, weight in components
-            ),
-            source_type=first.source_type.name,
-            target_type=first.target_type.name,
-            display=combined_spec_string(components),
-        )
+        return _combined_shape(parse_combined_spec(ctx, spec))
 
     def _prepare(self, ctx: MeasureContext, spec) -> CombinedPrepared:
         components = parse_combined_spec(ctx, spec)
@@ -183,7 +190,7 @@ class CombinedMeasure(Measure):
             (hetesim.prepare(ctx, meta), weight)
             for meta, weight in components
         ]
-        return CombinedPrepared(ctx, self.resolve(ctx, spec), parts)
+        return CombinedPrepared(ctx, _combined_shape(components), parts)
 
 
 register_measure(CombinedMeasure())

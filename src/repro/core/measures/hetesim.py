@@ -20,10 +20,10 @@ from __future__ import annotations
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from ...hin.metapath import PathSpec
 from .base import (
+    _pick_rows,
     Measure,
     MeasureContext,
     PreparedMeasure,
@@ -35,28 +35,6 @@ __all__ = [
     "HeteSimMeasure",
     "HeteSimPrepared",
 ]
-
-
-def _pick_rows(
-    matrix: sparse.csr_matrix, rows: Tuple[int, ...]
-) -> sparse.csr_matrix:
-    """``matrix[rows]`` with the rows' stored entries in stored order.
-
-    One row is taken by ``getrow``; several are gathered with numpy,
-    which costs about half of scipy's fancy row indexing.
-    """
-    if len(rows) == 1:
-        return matrix.getrow(rows[0])
-    picked = np.asarray(rows, dtype=np.intp)
-    starts = matrix.indptr[picked]
-    lengths = matrix.indptr[picked + 1] - starts
-    indptr = np.zeros(len(picked) + 1, dtype=matrix.indptr.dtype)
-    np.cumsum(lengths, out=indptr[1:])
-    take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-    return sparse.csr_matrix(
-        (matrix.data[take], matrix.indices[take], indptr),
-        shape=(len(picked), matrix.shape[1]),
-    )
 
 
 class HeteSimPrepared(PreparedMeasure):

@@ -21,6 +21,7 @@ from ...hin.metapath import MetaPath, PathSpec
 from .base import (
     _MEASURE_QUERIES,
     _count,
+    _pick_rows,
     Measure,
     MeasureContext,
     PreparedMeasure,
@@ -52,11 +53,7 @@ class PathSimPrepared(PreparedMeasure):
         self, rows: Sequence[int], normalized: bool = True
     ) -> np.ndarray:
         rows = list(rows)
-        if len(rows) == 1:
-            # Fancy indexing is markedly slower for a single row.
-            block = self.counts.getrow(rows[0]).toarray()
-        else:
-            block = self.counts[rows, :].toarray()
+        block = _pick_rows(self.counts, rows).toarray()
         if not normalized:
             return block
         denominator = self.diagonal[rows][:, None] + self.diagonal[None, :]

@@ -31,6 +31,7 @@ from ...hin.metapath import PathSpec
 from .base import (
     _MEASURE_QUERIES,
     _count,
+    _pick_rows,
     Measure,
     MeasureContext,
     PreparedMeasure,
@@ -51,7 +52,7 @@ class WalkPrepared(PreparedMeasure):
     def score_rows(
         self, rows: Sequence[int], normalized: bool = True
     ) -> np.ndarray:
-        return self.reach[list(rows), :].toarray()
+        return _pick_rows(self.reach, list(rows)).toarray()
 
 
 class PCRWMeasure(Measure):

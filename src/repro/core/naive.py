@@ -19,7 +19,7 @@ relation, identified by ``(source_key, target_key)`` pairs.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from ..hin.errors import QueryError
 from ..hin.graph import HeteroGraph

@@ -14,7 +14,7 @@ For full control (specific paths, learned weights) use
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..hin.enumerate import enumerate_paths
 from ..hin.errors import QueryError

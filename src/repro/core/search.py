@@ -8,17 +8,17 @@ Implements the query patterns the paper's case studies use:
 * :func:`rank_targets` -- a full ranking of the target type, used by the
   AUC evaluation (Table 5) and the rank-difference study (Fig. 6).
 
-:func:`select_top_k` is the only code that turns scores into a ranking;
-the search functions are thin callers of it and of the HeteSim measure
-plugin's prepared state.  Every ``k`` clamps like a slice: ``k <= 0``
-gives an empty list, an oversized ``k`` the full ranking.
+:func:`select_top_k_rows` is the only code that turns scores into a
+ranking (:func:`select_top_k` is its one-row case); the search
+functions are thin callers of it and of the HeteSim measure plugin's
+prepared state.  Every ``k`` clamps like a slice: ``k <= 0`` gives an
+empty list, an oversized ``k`` the full ranking.
 """
 
 from __future__ import annotations
 
 import contextlib
-import heapq
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,10 +29,104 @@ from .hetesim import hetesim_context
 
 __all__ = [
     "select_top_k",
+    "select_top_k_rows",
     "top_k_targets",
     "top_k_pairs",
     "rank_targets",
 ]
+
+
+def select_top_k_rows(
+    block: np.ndarray,
+    keys: Sequence[Any],
+    k: int,
+    ranks: Optional[np.ndarray] = None,
+) -> List[List[Tuple[Any, float]]]:
+    """The ``k`` best ``(key, score)`` pairs of every row of ``block``
+    under the ``(-score, key)`` order, in one vectorised pass.
+
+    The one ranking implementation: :func:`select_top_k` is its
+    one-row case, and batch serving ranks each group's score block
+    with one call.  Row ``i`` of the answer equals
+    ``select_top_k(block[i], keys, k)``, i.e. the first ``k`` entries
+    of that row's full ``(-score, key)`` sort, element for element.
+    ``k`` clamps like a slice (``k <= 0`` selects nothing, an oversized
+    ``k`` everything), and because a top-k is a prefix of the full
+    order, any shorter ranking is a prefix of the answer.
+
+    The k-th score of each row comes from one partition of the block;
+    every entry at or above it is a candidate, and one ``lexsort``
+    orders all candidates by ``(row, -score, key)``.  Ties at the k-th
+    score are common (many targets share a score), so the key order
+    is on the hot path:
+
+    * ``ranks`` (``ranks[j]`` is the position of ``keys[j]`` in sorted
+      key order, as :meth:`~repro.hin.graph.HeteroGraph.key_ranks`
+      returns) breaks ties on integers, without comparing keys;
+    * without ``ranks``, the candidates' keys are ranked among
+      themselves; only they are read (once to rank them, and the
+      selected ones again for the answer), so a lazy sequence (as
+      :func:`top_k_pairs` passes) never materialises the keys of the
+      other entries.
+
+    Raises :class:`~repro.hin.errors.QueryError` when ``block``'s rows
+    or ``ranks`` do not have one entry per key.
+    """
+    block = np.asarray(block, dtype=float)
+    m, n = block.shape
+    if n != len(keys):
+        raise QueryError(
+            f"scores has {n} entries but keys has {len(keys)}"
+        )
+    if ranks is not None and len(ranks) != n:
+        raise QueryError(
+            f"ranks has {len(ranks)} entries but keys has {n}"
+        )
+    take = max(0, min(k, n))
+    if take == 0 or m == 0:
+        return [[] for _ in range(m)]
+    if take == n:
+        flat = np.arange(block.size)
+    else:
+        # Each row's k-th largest score; partitioning the negated block
+        # stays fast on mostly-zero rows, unlike selecting the
+        # ``n - k``-th smallest.  Array methods skip numpy's
+        # function-level dispatch, which dominates on one short row.
+        negated = -block
+        negated.partition(take - 1, axis=1)
+        kth = -negated[:, take - 1]
+        flat = (block >= kth[:, None]).ravel().nonzero()[0]
+    rows, cols = np.divmod(flat, n)
+    values = block.ravel()[flat]
+    if ranks is None:
+        labels = [keys[col] for col in cols.tolist()]
+        by_key = np.fromiter(
+            sorted(range(len(labels)), key=labels.__getitem__),
+            dtype=np.intp,
+            count=len(labels),
+        )
+        tiebreak = np.empty_like(by_key)
+        tiebreak[by_key] = np.arange(len(labels))
+    else:
+        tiebreak = ranks[cols]
+    order = np.lexsort((tiebreak, -values, rows))
+    if m == 1:
+        # Every single query lands here; the row offsets below would
+        # cost it about a sixth of its selection time.
+        picked = order[:take]
+    else:
+        # ``flat`` is ascending, so the candidates are grouped by row
+        # and every row has at least ``take`` of them: keep each row's
+        # first ``take`` in sorted order.
+        starts = rows.searchsorted(np.arange(m))
+        picked = order[np.add.outer(starts, np.arange(take)).ravel()]
+    pairs = list(
+        zip(
+            [keys[col] for col in cols[picked].tolist()],
+            values[picked].tolist(),
+        )
+    )
+    return [pairs[i : i + take] for i in range(0, m * take, take)]
 
 
 def select_top_k(
@@ -42,13 +136,11 @@ def select_top_k(
     order, *without* sorting the full score vector.
 
     The selection primitive behind :func:`top_k_targets`,
-    :meth:`~repro.core.engine.HeteSimEngine.top_k` and the batch
-    serving API: :func:`numpy.argpartition` isolates the top block in
-    O(n), only the selected candidates are sorted, and score ties are
-    resolved by key order -- exactly the documented deterministic
-    tie-break of the full-sort ranking, so
-    ``select_top_k(scores, keys, k) == rank(scores, keys)[:k]``
-    element for element.
+    :meth:`~repro.core.engine.HeteSimEngine.top_k` and every other
+    single-row ranking: the one-row case of :func:`select_top_k_rows`,
+    so ``select_top_k(scores, keys, k) == rank(scores, keys)[:k]``
+    element for element, with score ties resolved by key order -- the
+    documented deterministic tie-break of the full-sort ranking.
 
     ``k`` clamps rather than raising: ``k <= 0`` selects nothing (an
     empty list) and ``k > len(keys)`` selects everything, both still
@@ -57,41 +149,12 @@ def select_top_k(
     for edge-case requests instead of turning them into errors.
 
     ``keys`` may be any sequence of mutually comparable keys; it is
-    indexed only for the selected and the tied candidates, so a lazy
-    sequence (as :func:`top_k_pairs` passes) never materialises the
-    keys of unselected entries.
+    indexed only for the candidates at or above the ``k``-th score, so
+    a lazy sequence (as :func:`top_k_pairs` passes) never materialises
+    the keys of unselected entries.
     """
     scores = np.asarray(scores, dtype=float).ravel()
-    n = scores.size
-    if n != len(keys):
-        raise QueryError(
-            f"scores has {n} entries but keys has {len(keys)}"
-        )
-    take = max(0, min(k, n))
-    if take == 0:
-        return []
-    if take == n:
-        chosen = list(range(n))
-    else:
-        # Partition for the k largest scores, then resolve boundary
-        # ties deterministically: everything strictly above the k-th
-        # score is in, the remaining slots go to the tied candidates
-        # with the smallest keys.
-        block = np.argpartition(-scores, take - 1)[:take]
-        kth_score = float(scores[block].min())
-        # Every score above the k-th lies inside the partitioned block;
-        # ties with it may lie anywhere.
-        above = block[scores[block] > kth_score]
-        tied = np.nonzero(scores == kth_score)[0]
-        need = take - above.size
-        chosen = above.tolist() + heapq.nsmallest(
-            need, tied.tolist(), key=lambda i: keys[i]
-        )
-    ranked = sorted(
-        zip(scores[chosen].tolist(), chosen),
-        key=lambda item: (-item[0], keys[item[1]]),
-    )
-    return [(keys[i], score) for score, i in ranked]
+    return select_top_k_rows(scores[None], keys, k)[0]
 
 
 def _bounded(limits):

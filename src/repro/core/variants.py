@@ -20,7 +20,6 @@ import numpy as np
 
 from ..hin.errors import QueryError
 from ..hin.graph import HeteroGraph
-from ..hin.matrices import safe_reciprocal
 from ..hin.metapath import MetaPath
 from .hetesim import half_reach_matrices
 

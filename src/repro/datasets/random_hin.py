@@ -11,7 +11,7 @@ Two generators:
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 

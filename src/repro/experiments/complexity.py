@@ -16,7 +16,6 @@ import time
 from typing import Dict, List
 
 from ..baselines.simrank import simrank
-from ..core.cache import PathMatrixCache
 from ..core.engine import HeteSimEngine
 from ..core.hetesim import hetesim_matrix
 from ..datasets.random_hin import make_random_hin

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from ..baselines.pcrw import pcrw_matrix
 from ..learning.auc import auc_score
 from .data import dblp_engine

@@ -9,7 +9,7 @@ after minutes of loading.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 from .errors import GraphError
 from .graph import HeteroGraph

@@ -11,7 +11,7 @@ inverses), optionally excluding immediate back-tracking
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import List
 
 from .errors import PathError
 from .metapath import MetaPath

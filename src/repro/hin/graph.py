@@ -28,7 +28,7 @@ reverse.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -40,12 +40,20 @@ __all__ = ["HeteroGraph"]
 
 
 class _TypedNodes:
-    """Node registry for a single object type: key <-> dense index."""
+    """Node registry for a single object type: key <-> dense index.
+
+    Keys are append-only, so the memoised key ranks are current exactly
+    when they cover every key: :meth:`ranks` rebuilds them, lock-free,
+    only when the node count has moved.  A build that races an
+    :meth:`add` covers a prefix of the keys and is rebuilt on the next
+    call.
+    """
 
     def __init__(self, otype: ObjectType) -> None:
         self.otype = otype
         self.keys: List[str] = []
         self.index: Dict[str, int] = {}
+        self._ranks: Optional[np.ndarray] = None
 
     def add(self, key: str) -> int:
         existing = self.index.get(key)
@@ -55,6 +63,19 @@ class _TypedNodes:
         self.keys.append(key)
         self.index[key] = idx
         return idx
+
+    def ranks(self) -> np.ndarray:
+        cached = self._ranks
+        if cached is not None and len(cached) == len(self.keys):
+            return cached
+        keys = self.keys[:]
+        ranks = np.empty(len(keys), dtype=np.intp)
+        ranks[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(
+            len(keys)
+        )
+        ranks.flags.writeable = False
+        self._ranks = ranks
+        return ranks
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -223,6 +244,17 @@ class HeteroGraph:
     def node_keys(self, type_name: str) -> List[str]:
         """All keys of this type, in index order (a copy)."""
         return list(self._typed_nodes(type_name).keys)
+
+    def key_ranks(self, type_name: str) -> np.ndarray:
+        """Sorted-key positions of this type's nodes, in index order.
+
+        ``key_ranks(t)[i]`` is the position of node ``i``'s key among
+        the type's keys in sorted order, so comparing two ranks
+        compares their keys; the batch scorer breaks score ties on
+        these integers instead of on the keys.  The array is read-only
+        and memoised per type until the type's node count changes.
+        """
+        return self._typed_nodes(type_name).ranks()
 
     def has_node(self, type_name: str, key: str) -> bool:
         """True when a node ``(type, key)`` exists."""

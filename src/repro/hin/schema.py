@@ -23,7 +23,7 @@ a ``code`` -- a short, unique, upper-case identifier -- so that
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,

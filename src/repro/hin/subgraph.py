@@ -9,9 +9,9 @@ and node-key identity so every measure works unchanged on the slice.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import GraphError, SchemaError
+from .errors import GraphError
 from .graph import HeteroGraph
 from .schema import NetworkSchema
 

@@ -21,14 +21,18 @@ should answer it; the server answers them by
    pass (:meth:`~repro.core.measures.base.PreparedMeasure.score_rows`:
    one sparse GEMM plus vectorised normalisation for HeteSim) -- one
    matrix product instead of one product per query;
-4. **selecting** each query's top-k with
-   :func:`~repro.core.search.select_top_k` (argpartition, never a full
-   sort of the target axis, deterministic key-order tie-break).
+4. **ranking** every row of the block with one
+   :func:`~repro.core.search.select_top_k_rows` call per ``normalized``
+   flag (one partition and one sort for the whole block, never a full
+   sort of the target axis, ties broken on the graph's memoised
+   :meth:`~repro.hin.graph.HeteroGraph.key_ranks`); each query takes
+   the prefix of its row's ranking that its ``k`` asks for.
 
 Results are element-wise identical to running each measure's
-single-query functions per query, at a fraction of the cost: the
+single-query functions per query, at a fraction of the cost: each
+distinct ``(measure, path)`` spec is resolved once per batch, the
 scoring state is built once per group instead of once per query, and
-the block pass batches every row of a group.
+the block pass and the ranking pass batch every row of a group.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ from ..hin.graph import HeteroGraph
 from ..hin.metapath import PathSpec
 from ..core.engine import HeteSimEngine
 from ..core.measures import Measure, QueryShape, get_measure
-from ..core.search import select_top_k
+from ..core.measures.base import measure_series
+from ..core.search import select_top_k_rows
 from ..obs.metrics import (
     GROUP_SIZE_BUCKETS,
     NNZ_BUCKETS,
@@ -263,20 +268,19 @@ class QueryServer:
 
         started = time.perf_counter()
         groups = self._group(request.queries)
+        resolve_seconds = time.perf_counter() - started
         for group in groups:
-            _BATCH_QUERIES.labels(measure=group.measure.name).inc(
-                len(group.members)
-            )
-            _BATCH_GROUPS.labels(measure=group.measure.name).inc()
-            _GROUP_SIZES.labels(measure=group.measure.name).observe(
-                len(group.members)
-            )
+            name = group.measure.name
+            measure_series(_BATCH_QUERIES, name).inc(len(group.members))
+            measure_series(_BATCH_GROUPS, name).inc()
+            measure_series(_GROUP_SIZES, name).observe(len(group.members))
         before = self.engine.materialisation_count
         with trace_span(
             "batch.run",
             queries=len(request.queries),
             groups=len(groups),
             workers=request.workers,
+            resolve_ms=round(resolve_seconds * 1e3, 3),
         ):
             rankings_per_group = Dispatcher(request.workers).map(
                 self._score_group, groups
@@ -312,16 +316,28 @@ class QueryServer:
         """Resolve measures/paths/sources up front and bucket queries.
 
         Resolution happens before any materialisation so a malformed
-        query fails the batch fast, naming its position.  The bucket
-        key is ``(measure name, measure group key)``: what may share
-        one prepared scoring state is the measure's own call.
+        query fails the batch fast, naming its position.  Each distinct
+        hashable ``(measure, path)`` spec is resolved once per batch; an
+        unhashable one (a mapping of ``combined`` weights) per query.
+        The bucket key is ``(measure name, measure group key)``: what
+        may share one prepared scoring state is the measure's own call.
         """
         ctx = self.engine.measures
         groups: Dict[Tuple[str, tuple], _Group] = {}
+        resolved: Dict[tuple, Tuple[Measure, QueryShape]] = {}
         for position, query in enumerate(queries):
             try:
-                measure = get_measure(query.measure)
-                shape = measure.resolve(ctx, query.path)
+                spec: Optional[tuple] = (query.measure, query.path)
+                try:
+                    entry = resolved.get(spec)
+                except TypeError:  # an unhashable spec
+                    spec, entry = None, None
+                if entry is None:
+                    measure = get_measure(query.measure)
+                    entry = (measure, measure.resolve(ctx, query.path))
+                    if spec is not None:
+                        resolved[spec] = entry
+                measure, shape = entry
                 row = self.engine.graph.node_index(
                     shape.source_type, query.source
                 )
@@ -333,17 +349,19 @@ class QueryServer:
                     f"{query.path!r}) is invalid: {exc}"
                 ) from exc
             key = (measure.name, shape.group_key)
-            groups.setdefault(
-                key,
-                _Group(measure=measure, shape=shape, spec=query.path),
-            ).members.append((position, query, row))
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = _Group(
+                    measure=measure, shape=shape, spec=query.path
+                )
+            group.members.append((position, query, row))
         return list(groups.values())
 
     def _score_group(
         self, group: _Group
     ) -> List[Tuple[Tuple[str, float], ...]]:
         """One block scoring pass for all of a group's sources, then
-        per-query top-k selection."""
+        one block ranking pass per ``normalized`` flag."""
         with trace_span(
             "batch.score_group",
             measure=group.measure.name,
@@ -368,20 +386,48 @@ class QueryServer:
             nnz = getattr(prepared, "last_block_nnz", None)
             if nnz is None:
                 nnz = int(np.count_nonzero(blocks[flags[0]]))
-            _GEMM_SECONDS.labels(measure=group.measure.name).observe(
-                gemm_seconds
-            )
-            _GEMM_NNZ.labels(measure=group.measure.name).observe(nnz)
-            group_span.set(
-                gemm_ms=round(gemm_seconds * 1e3, 3), nnz=nnz
-            )
+            name = group.measure.name
+            measure_series(_GEMM_SECONDS, name).observe(gemm_seconds)
+            measure_series(_GEMM_NNZ, name).observe(nnz)
+
+            tick = time.perf_counter()
             keys = prepared.target_keys()
+            # Keys are append-only: ranks read after the keys cover at
+            # least as many nodes, and their prefix orders these keys.
+            ranks = self.engine.graph.key_ranks(group.shape.target_type)
+            ranks = ranks[: len(keys)]
             row_position = {row: i for i, row in enumerate(rows)}
+            limits = [
+                len(keys) if query.k is None else max(query.k, 0)
+                for _, query, _ in group.members
+            ]
+            takes: Dict[bool, int] = {}
+            for limit, (_, query, _) in zip(limits, group.members):
+                flag = query.normalized
+                takes[flag] = max(takes.get(flag, 0), limit)
+            ranked = {
+                flag: select_top_k_rows(blocks[flag], keys, take, ranks=ranks)
+                for flag, take in takes.items()
+            }
+            # A top-k is a prefix of the row's full (-score, key)
+            # order, so every query's answer is a prefix of its row's
+            # ranking; queries asking the same prefix share one tuple.
+            shared: Dict[Tuple[int, bool, int], Tuple] = {}
             rankings: List[Tuple[Tuple[str, float], ...]] = []
-            for _, query, row in group.members:
-                scores = blocks[query.normalized][row_position[row]]
-                k = len(keys) if query.k is None else query.k
-                rankings.append(tuple(select_top_k(scores, keys, k)))
+            for limit, (_, query, row) in zip(limits, group.members):
+                key = (row_position[row], query.normalized, limit)
+                ranking = shared.get(key)
+                if ranking is None:
+                    ranking = shared[key] = tuple(
+                        ranked[query.normalized][key[0]][:limit]
+                    )
+                rankings.append(ranking)
+            select_seconds = time.perf_counter() - tick
+            group_span.set(
+                gemm_ms=round(gemm_seconds * 1e3, 3),
+                select_ms=round(select_seconds * 1e3, 3),
+                nnz=nnz,
+            )
             return rankings
 
 

@@ -1,8 +1,5 @@
 """Dedicated tests for the type-flattened global index."""
 
-import numpy as np
-import pytest
-
 from repro.baselines.globalgraph import build_global_index
 from repro.hin.graph import HeteroGraph
 from repro.hin.schema import NetworkSchema

@@ -1,6 +1,5 @@
 """Unit tests for Personalized PageRank."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.pagerank import personalized_pagerank, ppr_rank

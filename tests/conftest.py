@@ -10,8 +10,7 @@ import pytest
 
 from repro.datasets.acm import AcmNetwork, make_acm_network
 from repro.datasets.dblp import DblpNetwork, make_dblp_four_area
-from repro.datasets.random_hin import make_random_bipartite, make_random_hin
-from repro.datasets.schemas import acm_schema, dblp_schema, toy_apc_schema
+from repro.datasets.random_hin import make_random_bipartite
 from repro.datasets.toy import fig4_network, fig5_network
 from repro.core.engine import HeteSimEngine
 

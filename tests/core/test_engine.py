@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import HeteSimEngine
-from repro.core.hetesim import hetesim_matrix, hetesim_pair
+from repro.core.hetesim import hetesim_matrix
 from repro.datasets.random_hin import make_random_hin
 from repro.datasets.schemas import toy_apc_schema
 from repro.hin.errors import QueryError

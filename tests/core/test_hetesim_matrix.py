@@ -10,7 +10,6 @@ from repro.core.hetesim import (
     hetesim_matrix,
     hetesim_pair,
 )
-from repro.hin.errors import QueryError
 
 
 PATHS = ["APC", "AP", "APA", "APAPC"]

@@ -1,9 +1,8 @@
 """Cross-validation: matrix HeteSim vs the two naive references."""
 
-import numpy as np
 import pytest
 
-from repro.core.hetesim import hetesim_matrix, hetesim_pair
+from repro.core.hetesim import hetesim_pair
 from repro.core.naive import naive_hetesim, naive_hetesim_raw
 from repro.datasets.random_hin import make_random_hin
 from repro.datasets.schemas import toy_apc_schema

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.simrank import simrank_meeting_iterations
-from repro.core.hetesim import hetesim_matrix, hetesim_pair
+from repro.core.hetesim import hetesim_matrix
 from repro.datasets.random_hin import make_random_bipartite, make_random_hin
-from repro.datasets.schemas import acm_schema, toy_apc_schema
+from repro.datasets.schemas import toy_apc_schema
 
 
 @pytest.fixture(scope="module")

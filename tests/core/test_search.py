@@ -7,6 +7,7 @@ from repro.core.hetesim import hetesim_matrix
 from repro.core.search import (
     rank_targets,
     select_top_k,
+    select_top_k_rows,
     top_k_pairs,
     top_k_targets,
 )
@@ -66,6 +67,92 @@ class TestSelectTopK:
     def test_mismatched_lengths(self):
         with pytest.raises(QueryError):
             select_top_k(np.array([1.0, 2.0]), ["a"], 3)
+
+
+class _CountingKeys:
+    """A lazy key sequence that counts how often it is read."""
+
+    def __init__(self, keys):
+        self.keys = keys
+        self.read = []
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __getitem__(self, index):
+        self.read.append(int(index))
+        return self.keys[index]
+
+
+def _key_ranks(keys):
+    ranks = np.empty(len(keys), dtype=np.intp)
+    ranks[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(
+        len(keys)
+    )
+    return ranks
+
+
+def _full_sort(row, keys, k):
+    order = sorted(range(len(keys)), key=lambda j: (-row[j], keys[j]))
+    return [(keys[j], float(row[j])) for j in order[: max(k, 0)]]
+
+
+class TestSelectTopKRows:
+    """The block selector: every row equals a full sort of that row."""
+
+    def _tied_block(self, seed, rows=6, n=40):
+        rng = np.random.default_rng(seed)
+        # Three score levels plus zeros: most rows tie at the k-th score.
+        block = rng.integers(0, 3, size=(rows, n)) / 3.0
+        block[rng.random((rows, n)) < 0.4] = 0.0
+        # Keys whose sorted order differs from their index order.
+        keys = [f"n{int(i)}" for i in rng.permutation(n)]
+        return block, keys
+
+    def _ks(self, row, n):
+        """k in {-1, 0, 1, the tie boundary, n-1, n, n+5}."""
+        boundary = int(np.sum(row > np.sort(row)[::-1][n // 3])) + 1
+        return (-1, 0, 1, boundary, n - 1, n, n + 5)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("with_ranks", [False, True])
+    def test_rows_equal_full_sort(self, seed, with_ranks):
+        block, keys = self._tied_block(seed)
+        assert sorted(keys) != keys
+        ranks = _key_ranks(keys) if with_ranks else None
+        n = len(keys)
+        for k in sorted({k for row in block for k in self._ks(row, n)}):
+            ranked = select_top_k_rows(block, keys, k, ranks=ranks)
+            assert len(ranked) == len(block)
+            for row, ranking in zip(block, ranked):
+                assert ranking == _full_sort(row, keys, k), k
+                assert ranking == select_top_k(row, keys, k), k
+
+    def test_repeated_rows_and_empty_block(self):
+        block, keys = self._tied_block(7, rows=2)
+        doubled = np.vstack([block, block[::-1]])
+        ranked = select_top_k_rows(doubled, keys, 5)
+        assert ranked[0] == ranked[3] and ranked[1] == ranked[2]
+        assert select_top_k_rows(np.zeros((0, len(keys))), keys, 3) == []
+
+    def test_wrong_length_ranks_rejected(self):
+        block, keys = self._tied_block(1)
+        with pytest.raises(QueryError, match="ranks"):
+            select_top_k_rows(block, keys, 3, ranks=_key_ranks(keys)[:-1])
+        with pytest.raises(QueryError):
+            select_top_k_rows(block[:, :-1], keys, 3)
+
+    @pytest.mark.parametrize("k", [1, 3, 10, 39])
+    def test_lazy_keys_read_only_for_candidates(self, k):
+        block, keys = self._tied_block(3, rows=1)
+        row = block[0]
+        counting = _CountingKeys(keys)
+        assert select_top_k_rows(block, counting, k) == [
+            _full_sort(row, keys, k)
+        ]
+        candidates = np.flatnonzero(row >= np.sort(row)[::-1][k - 1])
+        assert set(counting.read) <= set(candidates.tolist())
+        assert len(counting.read) <= candidates.size + k
 
 
 class TestRankTargets:

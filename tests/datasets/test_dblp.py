@@ -1,7 +1,5 @@
 """Tests for the synthetic DBLP four-area generator."""
 
-import pytest
-
 from repro.datasets.dblp import FOUR_AREAS, make_dblp_four_area
 
 

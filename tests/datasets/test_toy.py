@@ -1,8 +1,6 @@
 """Unit tests for the paper's reconstructed toy networks."""
 
-import pytest
-
-from repro.datasets.toy import fig4_network, fig5_network
+from repro.datasets.toy import fig4_network
 
 
 class TestFig4:

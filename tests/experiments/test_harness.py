@@ -4,7 +4,7 @@ and the registry's significance annotations."""
 import pytest
 
 from repro.experiments import data as shared_data
-from repro.experiments.registry import all_experiments, get_experiment
+from repro.experiments.registry import get_experiment
 from repro.experiments.report import generate_report
 
 

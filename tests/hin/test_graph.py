@@ -73,6 +73,27 @@ class TestNodes:
         keys.append("mallory")
         assert "mallory" not in graph.node_keys("author")
 
+    def test_key_ranks_are_sorted_key_positions(self, schema):
+        g = HeteroGraph(schema)
+        keys = ["mallory", "bob", "carol", "alice", "b10", "b2"]
+        g.add_nodes("author", keys)
+        ranks = g.key_ranks("author")
+        ordered = sorted(keys)
+        assert ranks.tolist() == [ordered.index(key) for key in keys]
+        assert ranks.dtype == np.intp
+        assert g.key_ranks("author") is ranks
+        with pytest.raises(ValueError):
+            ranks[0] = 0
+
+    def test_key_ranks_follow_new_nodes(self, graph):
+        before = graph.key_ranks("author").copy()
+        graph.add_node("author", "aaron")
+        after = graph.key_ranks("author")
+        assert after[:-1].tolist() == (before + 1).tolist()
+        assert after[-1] == 0
+        with pytest.raises(SchemaError):
+            graph.key_ranks("ghost")
+
     def test_num_nodes_total(self, graph):
         assert graph.num_nodes() == graph.num_nodes("author") + graph.num_nodes("paper")
 

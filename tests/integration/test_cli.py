@@ -308,6 +308,9 @@ class TestServeBatchTrace:
         assert "batch.run" in captured.err
         assert "batch.score_group" in captured.err
         assert "engine.materialise_halves" in captured.err
+        # The batch's own layer timings: resolve, block GEMM, ranking.
+        for attribute in ("resolve_ms=", "gemm_ms=", "select_ms="):
+            assert attribute in captured.err
 
     def test_without_flag_no_span_tree(
         self, graph_file, capsys, clean_tracer

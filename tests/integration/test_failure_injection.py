@@ -8,7 +8,6 @@ errors (never silent wrong answers) with actionable messages.
 import json
 
 import pytest
-from scipy import sparse
 
 from repro.core.cache import PathMatrixCache
 from repro.core.engine import HeteSimEngine

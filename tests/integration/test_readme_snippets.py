@@ -8,7 +8,6 @@ around it, and runs every tutorial snippet in order.
 import re
 from pathlib import Path
 
-import pytest
 
 README = Path(__file__).resolve().parents[2] / "README.md"
 TUTORIAL = README.parent / "docs" / "tutorial.md"

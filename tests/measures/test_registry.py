@@ -1,6 +1,5 @@
 """Registry behaviour and the shared MeasureContext services."""
 
-import numpy as np
 import pytest
 
 from repro.core.cache import PathMatrixCache

@@ -1,7 +1,6 @@
 """Property-based tests for matrix normalisation and decomposition."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datasets.schemas import acm_schema
-from repro.hin.metapath import MetaPath
 
 SCHEMA = acm_schema()
 

@@ -1,6 +1,5 @@
 """Property-based tests for the evaluation metrics."""
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 

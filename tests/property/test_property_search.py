@@ -172,6 +172,88 @@ def prune_rung(graph, mass=0.0):
     )
 
 
+#: ``(measure, spec)`` pairs of the multi-query batch property: every
+#: measure the batch ranks with the block selector, on paths whose
+#: target types are authors, papers or conferences.
+BATCH_SPECS = (
+    ("hetesim", "APC"),
+    ("hetesim", "APA"),
+    ("hetesim", "CPAPC"),
+    ("hetesim", "APCP"),
+    ("pathsim", "APA"),
+    ("pathsim", "APCPA"),
+    ("pcrw", "APC"),
+    ("pcrw", "APA"),
+    ("combined", "APC=0.7,APCPAPC=0.3"),
+)
+
+
+class TestBatchRankingsPerQuery:
+    """A batch ranks each group's block in one pass, breaking ties on
+    the graph's key ranks; every query's ranking must still equal a
+    full ``(-score, key)`` sort of that query's own score row.
+    ``apc_graphs`` keys sort ``a10`` before ``a2``, so key order
+    differs from index order.
+
+    The reference row is the plugin's prepared ``score_rows`` for the
+    one source, on the server's own engine (a cache may associate a
+    path's products differently, which moves last bits).  For HeteSim,
+    PathSim and Combined that row is what ``Measure.top_k`` ranks, and
+    the test checks that too; PCRW's single query propagates a one-hot
+    row instead, which can differ from the materialised ``PM`` row in
+    the last bit."""
+
+    @staticmethod
+    def _check(graph, server, queries):
+        result = server.run(BatchRequest(queries))
+        ctx = server.engine.measures
+        for query, answer in zip(queries, result.results):
+            measure = get_measure(query.measure)
+            prepared = measure.prepare(ctx, query.path)
+            keys = prepared.target_keys()
+            row = graph.node_index(prepared.shape.source_type, query.source)
+            scores = prepared.score_rows([row], query.normalized)[0]
+            order = sorted(
+                range(len(keys)), key=lambda j: (-scores[j], keys[j])
+            )
+            k = len(keys) if query.k is None else max(query.k, 0)
+            expected = [(keys[j], float(scores[j])) for j in order[:k]]
+            assert list(answer.ranking) == expected, query
+            if query.measure != "pcrw":
+                single = measure.top_k(
+                    ctx, query.path, query.source, k=k,
+                    normalized=query.normalized,
+                )
+                assert single == expected, query
+
+    @given(apc_graphs(max_n=16), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_query_equals_its_single_ranking(self, graph, data):
+        queries = []
+        for _ in range(data.draw(st.integers(2, 12))):
+            measure, spec = data.draw(st.sampled_from(BATCH_SPECS))
+            path = graph.schema.path(spec.split("=")[0])
+            sources = graph.node_keys(path.source_type.name)
+            n_targets = graph.num_nodes(path.target_type.name)
+            queries.append(Query(
+                data.draw(st.sampled_from(sources[:3])),
+                spec,
+                k=data.draw(
+                    st.one_of(st.none(), st.integers(-3, n_targets + 2))
+                ),
+                normalized=data.draw(st.booleans()),
+                measure=measure,
+            ))
+        queries.append(queries[0])
+        server = QueryServer(HeteSimEngine(graph))
+        self._check(graph, server, queries)
+        # New keys that sort before every existing one shift every rank.
+        graph.add_node("author", "a")
+        graph.add_node("paper", "p")
+        graph.add_node("conference", "c")
+        self._check(graph, server, queries)
+
+
 class TestPruningProperties:
     @given(apc_graphs())
     @settings(max_examples=40, deadline=None)

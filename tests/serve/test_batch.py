@@ -190,11 +190,16 @@ class TestValidation:
     def test_nonpositive_k_yields_empty_ranking(self, server):
         result = server.run(
             BatchRequest(
-                [Query("A0", "APC", k=0), Query("A0", "APC", k=2)]
+                [
+                    Query("A0", "APC", k=0),
+                    Query("A0", "APC", k=2),
+                    Query("A0", "APC", k=-1),
+                ]
             )
         )
         assert result.results[0].ranking == ()
         assert len(result.results[1].ranking) == 2
+        assert result.results[2].ranking == ()
 
     def test_unknown_source_names_position(self, hin, server):
         with pytest.raises(QueryError, match="#1"):
@@ -203,6 +208,37 @@ class TestValidation:
                     [Query("A0", "APC"), Query("ghost", "APC")]
                 )
             )
+
+    def test_each_distinct_spec_resolves_once(self, server, monkeypatch):
+        """Hashable specs resolve once per batch, an unhashable one (a
+        mapping of combined weights) once per query, and a malformed
+        spec still fails the batch at its first position."""
+        from repro.core.measures import get_measure
+
+        calls = []
+        for name in ("hetesim", "combined"):
+            measure = get_measure(name)
+
+            def counting(ctx, spec, _resolve=measure.resolve, _name=name):
+                calls.append(_name)
+                return _resolve(ctx, spec)
+
+            monkeypatch.setattr(measure, "resolve", counting)
+        weights = {"APC": 0.7, "APCPAPC": 0.3}
+        result = server.run(BatchRequest(
+            [Query(s, "APC", k=3) for s in ("A0", "A1", "A0")]
+            + [Query(s, "APCPA", k=3) for s in ("A2", "A3")]
+            + [Query(s, dict(weights), k=3, measure="combined")
+               for s in ("A0", "A1")]
+            + [Query("A1", "APC=0.7,APCPAPC=0.3", k=3, measure="combined")]
+        ))
+        assert calls.count("hetesim") == 2
+        assert calls.count("combined") == 3
+        assert result.results[6].ranking == result.results[7].ranking
+        with pytest.raises(QueryError, match="#1 "):
+            server.run(BatchRequest(
+                [Query("A0", "APC"), Query("A0", "APX"), Query("A1", "APX")]
+            ))
 
     def test_fails_before_materialising(self, hin):
         engine = HeteSimEngine(hin)
