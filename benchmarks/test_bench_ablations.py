@@ -140,9 +140,9 @@ def test_ablation_chain_order_left_to_right(benchmark, acm):
 
 def test_ablation_chain_order_optimal(benchmark, acm):
     """Same product through the matrix-chain-order DP."""
-    from repro.core.chain import reach_prob_chain
+    from repro.core.backend import materialise
 
     graph = acm.graph
     path = graph.schema.path("APVCVPA")
-    matrix = benchmark(reach_prob_chain, graph, path)
+    matrix = benchmark(materialise, graph, path)
     assert matrix.shape[0] == graph.num_nodes("author")

@@ -16,7 +16,7 @@ convention: every mutation of ``_``-prefixed shared state happens under
   or inside a private helper that is **only ever called** with the lock
   held.  The latter is computed as a fixpoint over the intra-class call
   graph ("guaranteed-held" propagation), so the
-  ``freshest_prefix() -> _touch()`` pattern needs no annotations.
+  ``lookup() -> _touch()`` pattern needs no annotations.
 * While scanning, the rule records a **lock-acquisition graph**
   (acquiring ``B`` while holding ``A`` adds the edge ``A -> B``,
   including acquisitions made by callees); :meth:`finalize` reports

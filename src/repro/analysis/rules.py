@@ -4,7 +4,7 @@ Each rule machine-checks one invariant PRs 1-3 introduced by
 convention:
 
 * **RPR001** -- densification (``.toarray()`` / ``.todense()``) happens
-  only in the planned backend's densify step, where the plan decided it
+  only in the backend's densify step, where the chain order decided it
   and the :class:`~repro.runtime.limits.LimitTracker` can veto it.
 * **RPR002** -- library code raises typed
   :class:`~repro.hin.errors.ReproError` subclasses, never bare
@@ -51,20 +51,21 @@ __all__ = [
 
 @register
 class DensifyRule(BaseRule):
-    """RPR001: densify only through the planned backend's densify step.
+    """RPR001: densify only through the backend's densify step.
 
     ``.toarray()`` / ``.todense()`` allocate ``O(rows * cols)`` memory in
-    one call; PR 1 routed every chain-intermediate densification through
-    :func:`repro.core.backend.execute_plan`, where the planner decides it
-    and the limit tracker can veto it (``max_densified_cells``).  Any
-    call site elsewhere is either a bounded result-layer densification
-    (baseline it, with a justification) or a bug.
+    one call; every chain-intermediate densification goes through
+    :func:`repro.core.backend.materialise`, where the chain order
+    decides it and the limit tracker can veto it
+    (``max_densified_cells``).  Any call site elsewhere is either a
+    bounded result-layer densification (baseline it, with a
+    justification) or a bug.
     """
 
     rule_id = "RPR001"
     summary = (
-        "densification (.toarray()/.todense()) outside the planned "
-        "backend densify step"
+        "densification (.toarray()/.todense()) outside the backend "
+        "densify step"
     )
 
     def __init__(
@@ -89,8 +90,8 @@ class DensifyRule(BaseRule):
                         file,
                         node,
                         f"unbudgeted densification: .{node.func.attr}() "
-                        "outside the planned backend densify step "
-                        "(repro.core.backend.execute_plan)",
+                        "outside the backend densify step "
+                        "(repro.core.backend.materialise)",
                     )
                 )
         return findings

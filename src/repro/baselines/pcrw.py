@@ -9,9 +9,12 @@ differently, ``PCRW(s, t | P) != PCRW(t, s | P^-1)`` in general, which is
 exactly the deficiency Tables 3-4 illustrate.
 
 These functions are thin wrappers over the registered ``pcrw`` measure
-plugin (:mod:`repro.core.measures.walk`); single-source calls keep the
-one-hot :func:`~repro.core.reachprob.reach_row` propagation, all-pairs
-calls materialise ``PM_P`` through the shared compute layer.
+plugin (:mod:`repro.core.measures.walk`): every call reads rows of the
+materialised ``PM_P``, so single-source and all-pairs scores are the
+same bits.  Each single-source call materialises ``PM_P`` afresh; loops
+over one path should call the plugin through one shared
+:class:`~repro.core.measures.MeasureContext` (an engine's
+``measures``), which materialises it once.
 """
 
 from __future__ import annotations

@@ -29,8 +29,9 @@ Workflows::
     # exit 1 on unbaselined findings, so CI can block on it.
     python -m repro.cli lint [PATHS ...] --format json
 
-    # Materialisation-planner execution stats (per-step nnz/time,
-    # prefix reuse, evictions) under an optional cache byte budget.
+    # Cache counters (hits, misses, evictions) and each materialisation's
+    # traced plan.execute tree (per-product nnz/time, cached prefixes)
+    # under an optional cache byte budget.
     python -m repro.cli cache-stats graph.json --paths APC APVC \\
         --budget-kb 64 --repeat 2
 
@@ -193,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cache_stats = commands.add_parser(
         "cache-stats",
-        help="materialise paths and report the planner's execution stats",
+        help="materialise paths; print cache counters and plan.execute traces",
     )
     cache_stats.add_argument("graph")
     cache_stats.add_argument(
@@ -627,19 +628,27 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "cache-stats":
         from .core.hetesim import half_reach_matrices
+        from .obs import TRACER
 
         budget = (
             args.budget_kb * 1024 if args.budget_kb is not None else None
         )
         engine = HeteSimEngine(graph, byte_budget=budget)
-        for _ in range(max(1, args.repeat)):
-            for spec in args.paths:
-                # Query the budgeted cache directly (not the engine's
-                # per-path half memo) so --repeat exercises cache hits.
-                half_reach_matrices(
-                    graph, engine.path(spec), cache=engine.cache
-                )
-        print(engine.plan_report())
+        TRACER.enable()
+        try:
+            for _ in range(max(1, args.repeat)):
+                for spec in args.paths:
+                    # Query the budgeted cache directly (not the
+                    # engine's per-path half memo) so --repeat
+                    # exercises cache hits.
+                    half_reach_matrices(
+                        graph, engine.path(spec), cache=engine.cache
+                    )
+        finally:
+            TRACER.disable()
+        print(engine.plan_stats().summary())
+        for root in TRACER.roots:
+            print(root.render())
         return 0
 
     if args.command == "serve-warm":

@@ -1,14 +1,14 @@
 """HeteSim core: the paper's contribution (Section 4).
 
 Matrix-form HeteSim (:func:`hetesim_matrix` / :func:`hetesim_pair`), the
-reference naive implementations used for cross-validation, the planned
-materialisation layer (:mod:`repro.core.plan` /
-:mod:`repro.core.backend`) with its budgeted path-matrix cache, ranked
-search, and the high-level :class:`HeteSimEngine`.
+reference naive implementations used for cross-validation, path-matrix
+materialisation (:mod:`repro.core.backend`) with its budgeted
+path-matrix cache, ranked search, and the high-level
+:class:`HeteSimEngine`.
 """
 
 from .approx import monte_carlo_hetesim
-from .backend import PlanStats, StepStat, execute_plan, materialise, reach_prob_chain
+from .backend import materialise, sparse_chain_order
 from .cache import CacheStats, PathMatrixCache
 from .engine import HeteSimEngine
 from .explain import Contribution, explain_relevance
@@ -34,7 +34,6 @@ from .hetesim import (
 )
 from .naive import naive_hetesim, naive_hetesim_raw
 from .pathlearn import PathWeightResult, learn_path_weights
-from .plan import PathPlan, optimal_chain_order, plan_path, sparse_chain_schedule
 from .profiles import ObjectProfile, ProfileSection, build_profile
 from .reachprob import reach_distribution, reach_prob, reach_row
 from .search import rank_targets, select_top_k, top_k_pairs, top_k_targets
@@ -57,18 +56,12 @@ __all__ = [
     "register_measure",
     "LowRankHeteSim",
     "explain_relevance",
-    "execute_plan",
     "materialise",
     "MatrixStore",
     "ObjectProfile",
-    "PlanStats",
     "ProfileSection",
     "PathMatrixCache",
-    "PathPlan",
     "PathWeightResult",
-    "plan_path",
-    "sparse_chain_schedule",
-    "StepStat",
     "half_reach_matrices",
     "hetesim_all_sources",
     "hetesim_all_targets",
@@ -81,13 +74,12 @@ __all__ = [
     "monte_carlo_hetesim",
     "naive_hetesim",
     "naive_hetesim_raw",
-    "optimal_chain_order",
     "rank_targets",
     "reach_distribution",
     "reach_prob",
-    "reach_prob_chain",
     "reach_row",
     "select_top_k",
+    "sparse_chain_order",
     "top_k_pairs",
     "top_k_targets",
 ]

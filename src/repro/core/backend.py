@@ -1,132 +1,167 @@
-"""Execution backend for planned path-matrix materialisation.
+"""Path-matrix materialisation: the §4.6 compute layer.
 
-The one place in the codebase that *runs* a :class:`~repro.core.plan.PathPlan`:
-every consumer (the cache, the engine, PathSim, PCRW, the reachable-
-probability helpers) plans with :func:`repro.core.plan.plan_path` and
-executes here.  Centralising execution buys three things:
+Every reachable-probability or path-count matrix in this codebase is a
+chain product ``M_1 M_2 ... M_l`` of per-relation factors, and
+:func:`materialise` is the one place that evaluates one.  It orders the
+chain with a sparsity-aware matrix-chain DP (:func:`sparse_chain_order`,
+whose cost is estimated *nonzero* work rather than dense dimensions)
+and evaluates it by recursion over the DP's split table.  The tree
+depends only on the path and the graph's type sizes and edge counts,
+so a path matrix is the same bits whatever a
+:class:`~repro.core.cache.PathMatrixCache` held when it was built: a
+cached prefix replaces only the intermediate the tree forms anyway.
 
-* per-step timing, flop and nnz counters (:class:`PlanStats`) exposed
-  uniformly to the engine and the CLI ``cache-stats`` command;
-* one implementation of the CSR-vs-dense switch the planner decides;
-* a single seam where alternative backends (sharded, threaded, GPU)
-  can later be substituted without touching any measure code.
+It is also the *cooperative enforcement point* of the resilience layer
+(:mod:`repro.runtime`): between products it consults the ambient
+:class:`~repro.runtime.limits.ExecutionContext` (installed by
+:func:`~repro.runtime.limits.execution_scope`) to check wall-clock
+deadlines and nnz/byte budgets, to fire deterministic test faults, and
+to apply entry truncation when a degraded strategy asks for it.
+Outside any scope the checks are a single ``None`` test per product.
 
-The executor is also the *cooperative enforcement point* of the
-resilience layer (:mod:`repro.runtime`): between schedule steps it
-consults the ambient :class:`~repro.runtime.limits.ExecutionContext`
-(installed by :func:`~repro.runtime.limits.execution_scope`) to check
-wall-clock deadlines and nnz/byte budgets, to fire deterministic test
-faults, and to apply entry truncation when a degraded strategy asks for
-it.  Outside any scope the checks are a single ``None`` test per plan.
+Each call is observed through :mod:`repro.obs`: one ``plan.execute``
+span with a ``plan.step`` child per product, and the ``repro_plan_*``
+metrics.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
+from ..hin.errors import QueryError
 from ..hin.graph import HeteroGraph
 from ..hin.matrices import factor_matrix
 from ..hin.metapath import MetaPath
 from ..obs.metrics import NNZ_BUCKETS, REGISTRY, SECONDS_BUCKETS
 from ..obs.trace import span as trace_span
 from ..runtime.faults import SITE_EXECUTOR_STEP
-from ..runtime.limits import ExecutionContext, current_context
-from .plan import Factor, PathKey, PathPlan, plan_path
+from ..runtime.limits import current_context
 
 _PLANS = REGISTRY.counter(
-    "repro_plan_executions_total", "Planned materialisations executed."
+    "repro_plan_executions_total", "Path-matrix materialisations run."
 )
 _STEP_SECONDS = REGISTRY.histogram(
     "repro_plan_step_seconds",
-    "Wall time of one plan-step sparse product.",
+    "Wall time of one chain-product step.",
     buckets=SECONDS_BUCKETS,
 )
 _STEP_NNZ = REGISTRY.histogram(
     "repro_plan_step_nnz",
-    "Nonzeros of one plan-step product.",
+    "Nonzeros of one chain-product step.",
     buckets=NNZ_BUCKETS,
 )
 
 __all__ = [
-    "StepStat",
-    "PlanStats",
-    "execute_plan",
+    "DENSIFY_THRESHOLD",
+    "DENSE_CELL_CAP",
+    "estimate_product",
+    "sparse_chain_order",
     "materialise",
     "truncating",
-    "reach_prob_chain",
 ]
 
-StoreFn = Callable[[PathKey, sparse.csr_matrix], None]
+#: Estimated fill-in (nnz / cells) above which an intermediate is
+#: evaluated densely -- past this point CSR bookkeeping costs more than
+#: the dense kernel.
+DENSIFY_THRESHOLD = 0.25
+
+#: Never densify an intermediate with more cells than this (8 MiB of
+#: float64), however full it is predicted to be.
+DENSE_CELL_CAP = 1 << 20
+
+#: Factor source per ``weights`` value: Definition 8's row-normalised
+#: ``U`` (reachable probabilities) or the raw adjacency ``W`` (counts).
+_FACTOR_KINDS = {"transition": "U", "adjacency": "W"}
 
 
-@dataclass(frozen=True)
-class StepStat:
-    """Measured execution record of one schedule step."""
+# ----------------------------------------------------------------------
+# sparsity-aware chain ordering
+# ----------------------------------------------------------------------
+def estimate_product(
+    shape_a: Tuple[int, int],
+    nnz_a: float,
+    shape_b: Tuple[int, int],
+    nnz_b: float,
+) -> Tuple[float, float]:
+    """``(flops, nnz)`` estimate for one sparse product ``A @ B``.
 
-    description: str
-    shape: Tuple[int, int]
-    nnz: int
-    est_nnz: float
-    seconds: float
-    densified: bool
-    stored_key: Optional[PathKey] = None
-
-
-@dataclass
-class PlanStats:
-    """What actually happened while executing one :class:`PathPlan`.
-
-    ``prefix_key`` names the cached prefix that was reused (None when the
-    chain was computed from scratch); ``shared`` holds the nested stats
-    of a mirrored-half sub-plan; ``seconds`` covers the whole execution
-    including factor materialisation.
+    Flops is the expected multiply-add count under uniformly scattered
+    nonzeros: each of ``A``'s nonzeros meets ``nnz_b / k`` nonzeros in
+    the matching row of ``B``.  The output nnz estimate treats each of
+    the ``m * n`` cells as hit independently through ``k`` channels with
+    probability ``density_a * density_b`` each -- the standard
+    Erdos-Renyi fill-in estimate; exact for the expectation, and close
+    enough in practice to order a chain.
     """
-
-    key: PathKey
-    steps: List[StepStat] = field(default_factory=list)
-    prefix_key: Optional[PathKey] = None
-    shared: Optional["PlanStats"] = None
-    seconds: float = 0.0
-    output_shape: Tuple[int, int] = (0, 0)
-    output_nnz: int = 0
-    est_flops: float = 0.0
-
-    def summary(self) -> str:
-        """Multi-line human-readable rendering (CLI ``cache-stats``)."""
-        lines = [
-            f"plan {'.'.join(self.key)}: {len(self.steps)} step(s), "
-            f"{self.seconds * 1e3:.2f} ms, output "
-            f"{self.output_shape[0]}x{self.output_shape[1]} "
-            f"nnz={self.output_nnz}, est flops={self.est_flops:.0f}"
-        ]
-        if self.prefix_key:
-            lines.append(f"  reused cached prefix {'.'.join(self.prefix_key)}")
-        if self.shared is not None:
-            lines.append(
-                f"  mirrored half computed once "
-                f"({len(self.shared.steps)} step(s), "
-                f"{self.shared.seconds * 1e3:.2f} ms)"
-            )
-        for index, step in enumerate(self.steps):
-            stored = (
-                f" -> cached {'.'.join(step.stored_key)}"
-                if step.stored_key
-                else ""
-            )
-            dense = " [dense]" if step.densified else ""
-            lines.append(
-                f"  step {index}: {step.description}  "
-                f"nnz={step.nnz} (est {step.est_nnz:.0f})  "
-                f"{step.seconds * 1e3:.3f} ms{dense}{stored}"
-            )
-        return "\n".join(lines)
+    m, k = shape_a
+    _, n = shape_b
+    if m == 0 or k == 0 or n == 0 or nnz_a <= 0 or nnz_b <= 0:
+        return 0.0, 0.0
+    flops = nnz_a * (nnz_b / k)
+    density_a = min(1.0, nnz_a / (m * k))
+    density_b = min(1.0, nnz_b / (k * n))
+    fill = -np.expm1(k * np.log1p(-min(1.0 - 1e-12, density_a * density_b)))
+    return flops, fill * m * n
 
 
+def sparse_chain_order(
+    shapes: Sequence[Tuple[int, int]],
+    nnzs: Sequence[float],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Association order minimising *estimated sparse work*.
+
+    The matrix-chain-order DP over per-factor shapes and nonzero
+    counts.  Returns ``(split, nnz)``: the product of factors ``i..j``
+    is ``(i..split[i][j]) @ (split[i][j]+1..j)``, and ``nnz[i][j]`` is
+    its estimated nonzero count.  With fully dense factors the cost is
+    the classic dense one (``m * k * n`` per product).
+
+    Ties (and near-ties within 1%) prefer the left-associative split so
+    that intermediates remain path *prefixes* -- prefix-shaped
+    intermediates are the reusable ones under §4.6 partial-path
+    concatenation.
+    """
+    n = len(shapes)
+    if n < 1:
+        raise QueryError("chain needs at least one matrix")
+
+    cost = np.zeros((n, n))
+    nnz = np.zeros((n, n))
+    split = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        nnz[i][i] = float(nnzs[i])
+    for length in range(2, n + 1):
+        for i in range(n - length + 1):
+            j = i + length - 1
+            best = np.inf
+            best_nnz = 0.0
+            # Iterate k from the left-associative split downwards and
+            # require a strict (>1%) improvement to move away from it,
+            # so near-ties keep prefix-shaped intermediates.
+            for k in range(j - 1, i - 1, -1):
+                left_shape = (shapes[i][0], shapes[k][1])
+                right_shape = (shapes[k + 1][0], shapes[j][1])
+                flops, out_nnz = estimate_product(
+                    left_shape, nnz[i][k], right_shape, nnz[k + 1][j]
+                )
+                candidate = cost[i][k] + cost[k + 1][j] + flops
+                if candidate < best * (1.0 - 1e-2) or best == np.inf:
+                    best = candidate
+                    best_nnz = out_nnz
+                    split[i][j] = k
+            cost[i][j] = best
+            nnz[i][j] = best_nnz
+    return split, nnz
+
+
+# ----------------------------------------------------------------------
+# products
+# ----------------------------------------------------------------------
 def _nnz(matrix) -> int:
     if sparse.issparse(matrix):
         return int(matrix.nnz)
@@ -185,26 +220,8 @@ def _as_csr(matrix) -> sparse.csr_matrix:
     return sparse.csr_matrix(matrix)
 
 
-def _materialise_factor(
-    graph: HeteroGraph,
-    factor: Factor,
-    shared_matrix: Optional[sparse.csr_matrix],
-):
-    if factor.kind == "transition":
-        return factor_matrix(graph, factor.relation, "U")
-    if factor.kind == "adjacency":
-        return factor_matrix(graph, factor.relation, "W")
-    if factor.kind in ("cached", "explicit"):
-        return factor.matrix
-    if factor.kind == "shared":
-        return shared_matrix
-    if factor.kind == "shared_T":
-        return shared_matrix.T.tocsr()
-    raise AssertionError(f"unknown factor kind {factor.kind!r}")
-
-
 def truncating() -> bool:
-    """Whether the ambient execution scope truncates plan products.
+    """Whether the ambient execution scope truncates chain products.
 
     Products computed under truncation (a degraded strategy's
     ``truncate_eps > 0``) are not the exact matrices of any path; the
@@ -214,131 +231,193 @@ def truncating() -> bool:
     return context is not None and context.truncate_eps > 0.0
 
 
-def execute_plan(
-    graph: HeteroGraph,
-    plan: PathPlan,
-    store: Optional[StoreFn] = None,
-    context: Optional[ExecutionContext] = None,
-) -> Tuple[sparse.csr_matrix, PlanStats]:
-    """Run a schedule and return ``(matrix, stats)``.
+class _Run:
+    """One materialisation's ambient checks and product count."""
 
-    ``store`` is invoked for every step whose :attr:`PlanStep.store_key`
-    is set (prefix seeding) and for the plan's leading factor when the
-    planner marked it -- the cache passes its own store method here.
+    def __init__(self) -> None:
+        self.context = current_context()
+        self.tracker = self.context and self.context.tracker
+        self.faults = self.context and self.context.faults
+        self.steps = 0
 
-    ``context`` overrides the ambient execution context (which is the
-    default: anything started inside
-    :func:`~repro.runtime.limits.execution_scope` runs under that
-    scope's limits, fault plan and truncation threshold).  Enforcement
-    is cooperative -- the deadline and budgets are checked between
-    steps, never mid-multiplication -- and raises
-    :class:`~repro.hin.errors.DeadlineExceededError` /
-    :class:`~repro.hin.errors.BudgetExceededError`.
-    """
-    with trace_span(
-        "plan.execute", path=".".join(plan.key)
-    ) as plan_span:
-        result, stats = _run_plan(graph, plan, store, context)
-        plan_span.set(
-            steps=len(stats.steps),
-            output_nnz=stats.output_nnz,
-            ms=round(stats.seconds * 1e3, 3),
-        )
-        _PLANS.inc()
-        return result, stats
+    def check_deadline(self) -> None:
+        if self.tracker is not None:
+            self.tracker.check_deadline()
 
+    def check_densify(self, cells: int) -> None:
+        if self.tracker is not None:
+            self.tracker.check_densify(cells)
 
-def _run_plan(
-    graph: HeteroGraph,
-    plan: PathPlan,
-    store: Optional[StoreFn],
-    context: Optional[ExecutionContext],
-) -> Tuple[sparse.csr_matrix, PlanStats]:
-    started = time.perf_counter()
-    if context is None:
-        context = current_context()
-    tracker = context.tracker if context is not None else None
-    faults = context.faults if context is not None else None
-    truncate_eps = context.truncate_eps if context is not None else 0.0
-
-    stats = PlanStats(
-        key=plan.key,
-        prefix_key=plan.prefix_key,
-        est_flops=plan.est_flops,
-    )
-    if tracker is not None:
-        tracker.check_deadline()
-
-    shared_matrix: Optional[sparse.csr_matrix] = None
-    if plan.shared is not None:
-        shared_matrix, shared_stats = execute_plan(
-            graph, plan.shared, context=context
-        )
-        stats.shared = shared_stats
-
-    working = [
-        _materialise_factor(graph, factor, shared_matrix)
-        for factor in plan.factors
-    ]
-    labels = [factor.label for factor in plan.factors]
-
-    if store is not None and plan.store_leading_key is not None:
-        store(plan.store_leading_key, _as_csr(working[0]))
-
-    for step in plan.steps:
-        if faults is not None:
-            faults.fire(SITE_EXECUTOR_STEP)
-        if tracker is not None:
-            tracker.check_deadline()
-            if step.densify:
-                tracker.check_densify(step.shape[0] * step.shape[1])
-        description = (
-            f"{labels[step.left_slot]} @ {labels[step.right_slot]}"
-        )
+    def product(self, left, right, densify: bool, description: str):
+        """``left @ right`` with the limit, fault and truncation checks."""
+        if self.faults is not None:
+            self.faults.fire(SITE_EXECUTOR_STEP)
+        self.check_deadline()
+        if densify:
+            self.check_densify(left.shape[0] * right.shape[1])
         tick = time.perf_counter()
         with trace_span("plan.step", product=description) as step_span:
-            product = _multiply(
-                working[step.left_slot], working[step.right_slot]
-            )
-            if step.densify and sparse.issparse(product):
+            product = _multiply(left, right)
+            if densify and sparse.issparse(product):
                 product = product.toarray()
-            if truncate_eps > 0.0:
-                product, dropped = _truncate(product, truncate_eps)
-                if context is not None:
-                    context.truncated_mass += dropped
-            if tracker is not None:
-                tracker.charge(_nnz(product), _nbytes(product))
-                tracker.check_deadline()
+            context = self.context
+            if context is not None and context.truncate_eps > 0.0:
+                product, dropped = _truncate(product, context.truncate_eps)
+                context.truncated_mass += dropped
+            nnz = _nnz(product)
+            if self.tracker is not None:
+                self.tracker.charge(nnz, _nbytes(product))
+                self.tracker.check_deadline()
             elapsed = time.perf_counter() - tick
-            step_span.set(
-                nnz=_nnz(product), ms=round(elapsed * 1e3, 3)
-            )
+            step_span.set(nnz=nnz, ms=round(elapsed * 1e3, 3))
+            if not sparse.issparse(product):
+                step_span.set(dense=True)
         _STEP_SECONDS.observe(elapsed)
-        _STEP_NNZ.observe(_nnz(product))
-        if store is not None and step.store_key is not None:
-            store(step.store_key, _as_csr(product))
-        stats.steps.append(
-            StepStat(
-                description=description,
-                shape=tuple(product.shape),
-                nnz=_nnz(product),
-                est_nnz=step.est_nnz,
-                seconds=elapsed,
-                densified=not sparse.issparse(product),
-                stored_key=step.store_key,
-            )
-        )
-        working[step.left_slot] = product
-        labels[step.left_slot] = f"({labels[step.left_slot]} {labels[step.right_slot]})"
-        working.pop(step.right_slot)
-        labels.pop(step.right_slot)
+        _STEP_NNZ.observe(nnz)
+        self.steps += 1
+        return product
 
-    assert len(working) == 1
-    result = _as_csr(working[0])
-    stats.seconds = time.perf_counter() - started
-    stats.output_shape = tuple(result.shape)
-    stats.output_nnz = int(result.nnz)
-    return result, stats
+
+# ----------------------------------------------------------------------
+# chain evaluation
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Factor:
+    """One leaf of a chain: its name, size estimates and builder."""
+
+    label: str
+    shape: Tuple[int, int]
+    nnz: float
+    build: Callable[[], object]
+
+
+class _Chain:
+    """A chain product evaluated by recursion over its split table.
+
+    With a ``cache``, the prefix-shaped nodes ``(0, j)`` over the path's
+    relations are where cached entries are read and formed products
+    stored (tagged from ``signature``, the path's relation versions
+    read before any factor was built; None stores nothing).
+    """
+
+    def __init__(
+        self,
+        run: _Run,
+        factors: List[_Factor],
+        key: Tuple[str, ...] = (),
+        cache=None,
+        signature: Optional[Tuple[int, ...]] = None,
+    ) -> None:
+        self.run = run
+        self.factors = factors
+        self.key = key
+        self.cache = cache
+        self.signature = signature
+        self.split, self.est_nnz = sparse_chain_order(
+            [factor.shape for factor in factors],
+            [factor.nnz for factor in factors],
+        )
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return (self.factors[0].shape[0], self.factors[-1].shape[1])
+
+    def densify(self, i: int, j: int) -> bool:
+        """Whether the product of factors ``i..j`` is made dense."""
+        cells = self.factors[i].shape[0] * self.factors[j].shape[1]
+        return bool(
+            0 < cells <= DENSE_CELL_CAP
+            and self.est_nnz[i][j] / cells > DENSIFY_THRESHOLD
+        )
+
+    def dense(self, i: int, j: int) -> bool:
+        """Whether evaluating ``i..j`` from its factors leaves it dense:
+        densified there, or a product with a dense operand."""
+        if i == j:
+            return False
+        k = int(self.split[i][j])
+        return self.densify(i, j) or self.dense(i, k) or self.dense(k + 1, j)
+
+    def evaluate(self, i: int, j: int):
+        """``(product of factors i..j, its label)``; the root as CSR."""
+        root = i == 0 and j == len(self.factors) - 1
+        prefix = None
+        if self.cache is not None and i == 0 and j < len(self.key):
+            prefix = self.key[: j + 1]
+            cached = self.cache.lookup(prefix)
+            if cached is not None:
+                # In the form the cache-free tree gives this node, so
+                # the products above it see the same operands.
+                if not root and self.dense(i, j):
+                    self.run.check_densify(cached.shape[0] * cached.shape[1])
+                    cached = cached.toarray()
+                return cached, f"cached[{'.'.join(prefix)}]"
+        if i == j:
+            matrix, label = self.factors[i].build(), self.factors[i].label
+        else:
+            k = int(self.split[i][j])
+            left, left_label = self.evaluate(i, k)
+            right, right_label = self.evaluate(k + 1, j)
+            matrix = self.run.product(
+                left, right, self.densify(i, j), f"{left_label} @ {right_label}"
+            )
+            label = f"({left_label} {right_label})"
+        if root:
+            # Converted once: the caller and the cache share this CSR
+            # (``_as_csr`` returns a CSR operand itself).
+            matrix = _as_csr(matrix)
+        if prefix is not None and self.signature is not None:
+            self.cache.store(prefix, _as_csr(matrix), self.signature[: j + 1])
+        return matrix, label
+
+    def result(self) -> sparse.csr_matrix:
+        return self.evaluate(0, len(self.factors) - 1)[0]
+
+
+def _relation_factor(graph: HeteroGraph, relation, kind: str) -> _Factor:
+    return _Factor(
+        label=f"{kind}[{relation.name}]",
+        shape=(
+            graph.num_nodes(relation.source.name),
+            graph.num_nodes(relation.target.name),
+        ),
+        nnz=float(graph.num_edges(relation.name)),
+        build=lambda: factor_matrix(graph, relation.name, kind),
+    )
+
+
+def _count_chain(run: _Run, graph: HeteroGraph, relations) -> _Chain:
+    """The adjacency chain of ``relations``, its mirrored half computed
+    once.
+
+    Valid only for the unnormalised chain, where reversal is plain
+    transposition (``W_{P^-1} = W_P'``): when the last ``m`` relations
+    invert the first ``m``, the chain is ``H ... H'`` for the half's
+    product ``H``.  Row-normalised ``U`` chains do not transpose into
+    each other, so probability chains never take this form.
+    """
+    n = len(relations)
+    m = 0
+    while m < n // 2 and relations[n - 1 - m] == relations[m].inverse():
+        m += 1
+    factors = [_relation_factor(graph, relation, "W") for relation in relations]
+    if m:
+        half = _count_chain(run, graph, relations[:m])
+        shared: List[sparse.csr_matrix] = []
+
+        def build_half() -> sparse.csr_matrix:
+            if not shared:
+                shared.append(half.result())
+            return shared[0]
+
+        rows, cols = half.shape
+        nnz = float(half.est_nnz[0][len(half.factors) - 1])
+        factors = [
+            _Factor("shared", (rows, cols), nnz, build_half),
+            *factors[m: n - m],
+            _Factor("shared'", (cols, rows), nnz, lambda: build_half().T.tocsr()),
+        ]
+    return _Chain(run, factors)
 
 
 def materialise(
@@ -347,37 +426,80 @@ def materialise(
     *,
     weights: str = "transition",
     cache=None,
-    seed_prefixes: bool = False,
     extra_right: Optional[sparse.spmatrix] = None,
-    store: Optional[StoreFn] = None,
-) -> Tuple[sparse.csr_matrix, PlanStats]:
-    """Plan and execute one path-matrix product in a single call.
-
-    The convenience wrapper every consumer uses: prefix reuse against
-    ``cache`` (when given), sparsity-aware ordering, and the CSR/dense
-    switch all happen behind this one entry point.
-    """
-    plan = plan_path(
-        graph,
-        path,
-        weights=weights,
-        cache=cache,
-        seed_prefixes=seed_prefixes,
-        extra_right=extra_right,
-    )
-    return execute_plan(graph, plan, store=store)
-
-
-def reach_prob_chain(
-    graph: HeteroGraph, path: MetaPath
 ) -> sparse.csr_matrix:
-    """``PM_P`` evaluated in the planned association order.
+    """The chain product of ``path``'s factors, as CSR.
 
-    Numerically equal to
-    :func:`~repro.hin.matrices.reachable_probability_matrix` (matrix
-    multiplication is associative; only 1e-12-level rounding differs);
-    faster on long paths whose intermediate types differ in size.
-    Kept for API compatibility with the old ``repro.core.chain`` module.
+    Parameters
+    ----------
+    graph:
+        The network.
+    path:
+        The meta path whose chain product is wanted.
+    weights:
+        ``"transition"`` for reachable probabilities (``U`` factors,
+        Definition 9) or ``"adjacency"`` for unnormalised path counts
+        (``W`` factors, PathSim's ``M``; a mirrored half is computed
+        once).
+    cache:
+        An optional :class:`~repro.core.cache.PathMatrixCache`, for
+        transition weights only.  Where
+        the tree forms a path prefix, a fresh cached entry for it is
+        used instead, and a product formed there is stored (the full
+        path's own included), unless the ambient scope truncates.
+    extra_right:
+        Optional explicit factor appended after the path's relations
+        (the edge-object hop of odd paths).
+
+    The association order comes from :func:`sparse_chain_order` over
+    the factors' shapes and edge counts alone, so the result is the
+    same bits whatever ``cache`` holds.
     """
-    matrix, _ = materialise(graph, path)
-    return matrix
+    kind = _FACTOR_KINDS.get(weights)
+    if kind is None:
+        raise QueryError(
+            f"weights must be 'transition' or 'adjacency', got {weights!r}"
+        )
+    if kind == "W" and cache is not None:
+        raise QueryError(
+            "a PathMatrixCache holds transition products; count chains "
+            "are materialised without one"
+        )
+    key = tuple(relation.name for relation in path.relations)
+    # Read before the first factor is built: the graph publishes edge
+    # data before bumping versions, so a stored entry's data can only
+    # be newer than its tag (recomputed on lookup), never older.
+    signature = (
+        graph.relations_signature(key)
+        if cache is not None and not truncating()
+        else None
+    )
+    with trace_span("plan.execute", path=".".join(key)) as plan_span:
+        started = time.perf_counter()
+        run = _Run()
+        run.check_deadline()
+        if kind == "W" and extra_right is None:
+            chain = _count_chain(run, graph, path.relations)
+        else:
+            factors = [
+                _relation_factor(graph, relation, kind)
+                for relation in path.relations
+            ]
+            if extra_right is not None:
+                factors.append(
+                    _Factor(
+                        "explicit",
+                        tuple(extra_right.shape),
+                        float(_nnz(extra_right)),
+                        lambda: extra_right,
+                    )
+                )
+            chain = _Chain(run, factors, key, cache, signature)
+        result = chain.result()
+        plan_span.set(
+            steps=run.steps,
+            output_nnz=int(result.nnz),
+            ms=round((time.perf_counter() - started) * 1e3, 3),
+        )
+    _PLANS.inc()
+    return result

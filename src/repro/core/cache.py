@@ -8,10 +8,11 @@ APCPA and APAPA are all products of stored factors (plus transposes for
 reversed pieces).
 
 :class:`PathMatrixCache` keys matrices by the path's relation-name tuple
-and answers misses through the planned compute layer
-(:mod:`repro.core.plan` / :mod:`repro.core.backend`): the planner reuses
-the longest cached prefix, orders the remaining factors by estimated
-sparse work, and hands prefix intermediates back for storage.  Entries
+and answers misses with :func:`repro.core.backend.materialise`: the
+chain's association order depends only on the path and the graph's
+sizes, a fresh cached prefix stands in where that order forms it, and
+the prefixes it forms are stored.  So a matrix is the same bits
+whatever the cache held.  Entries
 are kept under an optional **byte budget** with least-recently-used
 eviction, making the §4.6 space-vs-time trade an enforced bound rather
 than an unbounded growth.  The budget also covers entries owned
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -33,8 +34,7 @@ from ..hin.errors import QueryError
 from ..hin.graph import HeteroGraph
 from ..hin.metapath import MetaPath
 from ..obs.metrics import REGISTRY, instance_label
-from .backend import PlanStats, execute_plan, truncating
-from .plan import plan_path
+from .backend import materialise, truncating
 
 __all__ = ["CacheStats", "PathMatrixCache"]
 
@@ -43,9 +43,6 @@ PathKey = Tuple[str, ...]
 #: matrices that live and die together (a count matrix with its
 #: diagonal, a held scoring form).
 Entry = Union[sparse.csr_matrix, tuple]
-
-#: How many recent per-plan execution records the cache retains.
-PLAN_LOG_LIMIT = 32
 
 #: Namespace token prefixing keys of adjacency-weighted (path-count)
 #: products, so they can never collide with -- or be substituted as
@@ -76,8 +73,9 @@ class CacheStats:
     """Inspectable snapshot of the cache's state and counters.
 
     The §4.6 offline store made observable: entry count and byte volume,
-    hit/miss/eviction counters, the configured budget, and the execution
-    record of the most recent planned materialisation.
+    hit/miss/eviction counters, and the configured budget.  How each
+    matrix was materialised is traced (``plan.execute`` spans), not
+    kept here.
     """
 
     num_cached: int
@@ -86,7 +84,6 @@ class CacheStats:
     hits: int
     misses: int
     evictions: int
-    last_plan: Optional[PlanStats]
 
     def summary(self) -> str:
         """One-line counter rendering (CLI ``cache-stats`` header)."""
@@ -101,7 +98,7 @@ class CacheStats:
 
 
 class PathMatrixCache:
-    """Cache of ``PM_P`` matrices with planned, budgeted materialisation.
+    """Cache of ``PM_P`` matrices with budgeted materialisation.
 
     Parameters
     ----------
@@ -109,10 +106,6 @@ class PathMatrixCache:
         The network the matrices are computed over.  Mutations are
         detected per relation through the graph's version counters, so
         entries of untouched relations survive graph edits.
-    cache_prefixes:
-        When True (default) prefix products materialised on the way to a
-        request are stored too, so subsequent queries sharing prefixes
-        are cheap (§4.6 partial-path concatenation).
     byte_budget:
         Optional cap on :attr:`nbytes`.  When set, least-recently-used
         entries are evicted after every store so the cap always holds,
@@ -130,7 +123,6 @@ class PathMatrixCache:
     def __init__(
         self,
         graph: HeteroGraph,
-        cache_prefixes: bool = True,
         byte_budget: Optional[int] = None,
     ) -> None:
         if byte_budget is not None and byte_budget < 0:
@@ -138,12 +130,11 @@ class PathMatrixCache:
                 f"byte_budget must be >= 0, got {byte_budget}"
             )
         self.graph = graph
-        self.cache_prefixes = cache_prefixes
         self.byte_budget = byte_budget
         # Guards the entry dicts and counters: the serving layer
         # (repro.serve) materialises *distinct* paths concurrently
         # against one shared cache, so lookups/stores must be atomic.
-        # The lock is never held across a plan execution -- only around
+        # The lock is never held across a materialisation -- only around
         # dict reads/writes -- so independent materialisations overlap.
         self._lock = threading.RLock()
         # Insertion order doubles as recency order (moved on touch).
@@ -175,7 +166,6 @@ class PathMatrixCache:
         self._bytes_gauge = REGISTRY.gauge(
             "repro_cache_bytes", "Bytes held by cache entries."
         ).labels(cache=self.obs_label)
-        self.plan_log: List[PlanStats] = []
 
     # ------------------------------------------------------------------
     # lookups
@@ -194,167 +184,72 @@ class PathMatrixCache:
         matrix = self._matrices.pop(key)
         self._matrices[key] = matrix
 
-    def freshest_prefix(
-        self, key: PathKey
-    ) -> Tuple[int, Optional[sparse.csr_matrix]]:
-        """Longest *fresh* cached proper prefix of ``key``.
-
-        Returns ``(length, matrix)`` -- ``(0, None)`` when nothing
-        usable is stored.  Called by the planner to substitute stored
-        products for leading factors.
-        """
+    def lookup(self, key: PathKey) -> Optional[Entry]:
+        """The fresh entry stored under ``key``, marked most recently
+        used; None when absent or stale.  Counts no hit or miss:
+        :func:`~repro.core.backend.materialise` reads cached prefixes
+        through it."""
         with self._lock:
-            for length in range(len(key) - 1, 0, -1):
-                prefix_key = key[:length]
-                prefix = self._matrices.get(prefix_key)
-                if prefix is not None and self._fresh(prefix_key):
-                    self._touch(prefix_key)
-                    return length, prefix
-            return 0, None
+            entry = self._matrices.get(key)
+            if entry is None or not self._fresh(key):
+                return None
+            self._touch(key)
+            return entry
+
+    def _counted_lookup(self, key: PathKey) -> Optional[Entry]:
+        """:meth:`lookup`, counted as a hit or a miss."""
+        entry = self.lookup(key)
+        (self._misses if entry is None else self._hits).inc()
+        return entry
 
     def reach_prob(self, path: MetaPath) -> sparse.csr_matrix:
-        """``PM_P`` for ``path``, via the planned compute layer.
+        """``PM_P`` for ``path``.
 
-        Hits are served from the store; misses are planned (longest
-        fresh cached prefix reused, remaining factors in sparsity-aware
-        order) and executed by :mod:`repro.core.backend`.  Entries stale
-        under the per-relation mutation signature are recomputed
-        transparently (and only those: materialisations of untouched
-        relations survive graph mutations)."""
-        key = _key(path)
-        with self._lock:
-            cached = self._matrices.get(key)
-            if cached is not None and self._fresh(key):
-                self._hits.inc()
-                self._touch(key)
-                return cached
-            self._misses.inc()
-
-        matrix, versions = self._planned(path)
-        if not truncating():
-            self._store(key, matrix, tuple(versions[name] for name in key))
-        return matrix
-
-    def extended_product(
-        self, path: MetaPath, extra_right: sparse.spmatrix
-    ) -> sparse.csr_matrix:
-        """``PM_path @ extra_right`` in one planned execution.
-
-        The edge-object fast path for odd relevance paths: the trailing
-        explicit factor joins the chain so the planner can order it with
-        everything else.  Prefix products of ``path`` are seeded into
-        the cache as usual; the combined product itself is *not* stored
-        (it is not the matrix of any meta path).
-        """
-        return self._planned(path, extra_right)[0]
-
-    def _planned(
-        self, path: MetaPath, extra_right: Optional[sparse.spmatrix] = None
-    ) -> Tuple[sparse.csr_matrix, Dict[str, int]]:
-        """Plan and execute ``PM_path [@ extra_right]``, seeding prefixes.
-
-        Returns the product and the pre-plan version snapshot its
-        entries are tagged from.  Nothing is seeded while the ambient
-        execution scope truncates: a truncated product is not the
-        matrix of any path, and storing it would serve it to later
-        exact queries.
-        """
-        # Capture the versions BEFORE planning/executing: a mutation
-        # landing mid-plan must leave the entry tagged with the older
-        # signature (and therefore stale), never pair pre-mutation data
-        # with the post-mutation signature.
-        versions = self._versions_before_plan(_key(path))
-        plan = plan_path(
-            self.graph,
-            path,
-            cache=self,
-            seed_prefixes=self.cache_prefixes and not truncating(),
-            extra_right=extra_right,
-        )
-        matrix, stats = execute_plan(
-            self.graph, plan, store=self._seeder(versions)
-        )
-        self._record(stats)
-        return matrix, versions
+        Hits are served from the store; a miss is materialised by
+        :func:`~repro.core.backend.materialise`, which reads and stores
+        this cache's prefixes and stores the matrix itself (unless the
+        ambient scope truncates).  Entries stale under the per-relation
+        mutation signature are recomputed transparently (and only
+        those: materialisations of untouched relations survive graph
+        mutations)."""
+        cached = self._counted_lookup(_key(path))
+        if cached is not None:
+            return cached
+        return materialise(self.graph, path, cache=self)
 
     def path_counts(
         self, path: MetaPath
     ) -> Tuple[sparse.csr_matrix, np.ndarray]:
         """``(W_P, diag(W_P))``: path-instance counts and their diagonal.
 
-        The PathSim factor source routed through the same planned
-        compute layer and byte budget as the ``PM`` entries.  The
-        diagonal is computed once per materialised matrix and lives in
-        the same entry, so it is evicted and invalidated with it.
-        Entries live under a namespaced key (:data:`COUNT_NAMESPACE`
-        prepended to the relation names) so a count product can never
-        be mistaken for -- or substituted as a prefix of -- a
-        transition-weighted matrix.  The plan is built *without* the
-        cache: prefix substitution only stores plain keys, and handing
-        those to an adjacency-weighted chain would splice transition
-        factors into a count product; planning standalone also keeps
-        the mirrored-half reuse for symmetric paths.
+        The PathSim factor source, kept under the same byte budget as
+        the ``PM`` entries.  The diagonal is computed once per
+        materialised matrix and lives in the same entry, so it is
+        evicted and invalidated with it.  Entries live under a
+        namespaced key (:data:`COUNT_NAMESPACE` prepended to the
+        relation names) so a count product can never be mistaken for
+        -- or substituted as a prefix of -- a transition-weighted
+        matrix; the count chain itself is materialised without the
+        cache, which keeps its mirrored-half reuse for symmetric paths.
         """
         names = _key(path)
         key = (COUNT_NAMESPACE,) + names
-        with self._lock:
-            cached = self._matrices.get(key)
-            if cached is not None and self._fresh(key):
-                self._hits.inc()
-                self._touch(key)
-                return cached
-            self._misses.inc()
-
-        versions = self._versions_before_plan(names)
-        plan = plan_path(self.graph, path, weights="adjacency")
-        matrix, stats = execute_plan(self.graph, plan)
+        cached = self._counted_lookup(key)
+        if cached is not None:
+            return cached
+        # Tagged from versions read before the first factor is built
+        # (see store()).
+        signature = self.graph.relations_signature(names)
+        matrix = materialise(self.graph, path, weights="adjacency")
         entry = (matrix, matrix.diagonal())
         if not truncating():
-            self._store(
-                key, entry, tuple(versions[name] for name in names)
-            )
-        self._record(stats)
+            self.store(key, entry, signature)
         return entry
-
-    def _record(self, stats: PlanStats) -> None:
-        with self._lock:
-            self.plan_log.append(stats)
-            del self.plan_log[:-PLAN_LOG_LIMIT]
 
     # ------------------------------------------------------------------
     # storage and eviction
     # ------------------------------------------------------------------
-    def _versions_before_plan(self, key: PathKey) -> Dict[str, int]:
-        """Per-relation versions snapshotted before a plan executes.
-
-        Entries (the product and any seeded prefixes) are tagged from
-        this snapshot.  The graph publishes edge data before bumping
-        versions, so data can only be *newer* than the tag -- a lookup
-        under a newer signature then recomputes -- never older, which
-        would serve stale matrices as fresh forever.
-        """
-        return {
-            name: self.graph.relation_version(name) for name in key
-        }
-
-    def _seeder(
-        self, versions: Dict[str, int]
-    ) -> Callable[[PathKey, sparse.csr_matrix], None]:
-        """Store callback for prefix products seeded mid-execution,
-        tagging each prefix from the pre-plan version snapshot."""
-
-        def store(key: PathKey, matrix: sparse.csr_matrix) -> None:
-            if any(name not in versions for name in key):
-                # Not covered by the snapshot (planner contract breach):
-                # dropping the seed is safe, caching it untagged is not.
-                return
-            self._store(
-                key, matrix, tuple(versions[name] for name in key)
-            )
-
-        return store
-
-    def _store(
+    def store(
         self,
         key: PathKey,
         entry: Entry,
@@ -364,7 +259,16 @@ class PathMatrixCache:
         """Store ``entry`` as most recently used, then evict to the
         budget.  An entry larger than the whole budget is not stored
         (it would evict everything, itself included); returns whether
-        it was."""
+        it was.
+
+        ``signature`` holds ``key``'s relation versions as read before
+        the entry's first factor was built.  The graph publishes edge
+        data before bumping versions, so data can only be *newer* than
+        the tag -- a lookup under a newer signature then recomputes --
+        never older, which would serve stale matrices as fresh forever.
+        :func:`~repro.core.backend.materialise` stores the prefixes it
+        forms through here.
+        """
         if self.byte_budget is not None and _nbytes(entry) > self.byte_budget:
             return False
         with self._lock:
@@ -395,7 +299,7 @@ class PathMatrixCache:
         its reference too.  Returns False, holding nothing, when the
         entry alone exceeds the budget.
         """
-        return self._store(key, entry, signature, release)
+        return self.store(key, entry, signature, release)
 
     def touch(self, key: PathKey) -> None:
         """Mark a held entry most recently used (no-op once evicted)."""
@@ -431,7 +335,7 @@ class PathMatrixCache:
         matches the current graph.
         """
         key = _key(path)
-        self._store(
+        self.store(
             key,
             sparse.csr_matrix(matrix),
             self.graph.relations_signature(key),
@@ -457,7 +361,6 @@ class PathMatrixCache:
             self._misses.reset()
             self._evictions.reset()
             self._sync_gauges()
-            self.plan_log.clear()
 
     # ------------------------------------------------------------------
     # introspection
@@ -495,13 +398,8 @@ class PathMatrixCache:
         with self._lock:
             return sum(_nbytes(entry) for entry in self._matrices.values())
 
-    @property
-    def last_plan(self) -> Optional[PlanStats]:
-        """Execution record of the most recent planned materialisation."""
-        return self.plan_log[-1] if self.plan_log else None
-
     def stats(self) -> CacheStats:
-        """Snapshot of counters, volume and the latest plan record."""
+        """Snapshot of counters and volume."""
         return CacheStats(
             num_cached=self.num_cached,
             nbytes=self.nbytes,
@@ -509,5 +407,4 @@ class PathMatrixCache:
             hits=self.hits,
             misses=self.misses,
             evictions=self.evictions,
-            last_plan=self.last_plan,
         )

@@ -28,7 +28,7 @@ from ..hin.graph import HeteroGraph
 from ..hin.metapath import MetaPath, PathSpec
 from ..obs.metrics import REGISTRY, instance_label
 from ..obs.trace import span as trace_span
-from .backend import PlanStats, truncating
+from .backend import truncating
 from .cache import CacheStats, PathMatrixCache
 from .hetesim import Halves, scoring_form
 from .measures import MeasureContext, get_measure
@@ -335,32 +335,16 @@ class HeteSimEngine:
             self._halves.clear()
 
     # ------------------------------------------------------------------
-    # plan introspection
+    # cache introspection
     # ------------------------------------------------------------------
     def plan_stats(self) -> CacheStats:
         """Snapshot of the materialisation layer's counters and volume.
 
-        Covers cache hits/misses/evictions, held bytes vs budget, and
-        the execution record (per-step nnz and timing, reused prefixes)
-        of the most recent planned materialisation.
+        Covers cache hits/misses/evictions and held bytes vs budget;
+        each materialisation itself is traced as a ``plan.execute``
+        span (see ``docs/observability.md``).
         """
         return self.cache.stats()
-
-    @property
-    def plan_log(self) -> List[PlanStats]:
-        """Execution records of recent planned materialisations."""
-        return self.cache.plan_log
-
-    def plan_report(self) -> str:
-        """Human-readable report over :meth:`plan_stats` and the log.
-
-        The string the CLI ``cache-stats`` command prints: cache
-        counters first, then one block per recorded plan (association
-        order, per-step nnz/time, prefix reuse, densification).
-        """
-        lines = [self.cache.stats().summary()]
-        lines.extend(stats.summary() for stats in self.cache.plan_log)
-        return "\n".join(lines)
 
     # ------------------------------------------------------------------
     # measures: thin callers of the HeteSim plugin's prepared state

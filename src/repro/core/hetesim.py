@@ -68,10 +68,10 @@ def half_reach_matrices(
     relation for odd-length paths.  A symmetric path's two halves are one
     matrix, materialised once.
 
-    Both halves are materialised through the planned compute layer
-    (:mod:`repro.core.backend`); pass a
-    :class:`~repro.core.cache.PathMatrixCache` to reuse and seed stored
-    prefixes across calls.
+    Both halves are materialised by
+    :func:`repro.core.backend.materialise`; pass a
+    :class:`~repro.core.cache.PathMatrixCache` to reuse stored prefixes
+    across calls and store the ones formed.
     """
     split = path.halves()
     if not split.needs_edge_object:
@@ -93,12 +93,15 @@ def half_reach_matrices(
 
 def _product(graph: HeteroGraph, half: MetaPath, cache, into_edges=None):
     """``PM_half``, times ``into_edges`` when given, through ``cache``
-    when given."""
-    if cache is None:
-        return materialise(graph, half, extra_right=into_edges)[0]
-    if into_edges is None:
+    when given.
+
+    The product with ``into_edges`` is not the matrix of any meta
+    path, so it is never looked up or stored itself; its path prefixes
+    are.
+    """
+    if cache is not None and into_edges is None:
         return cache.reach_prob(half)
-    return cache.extended_product(half, into_edges)
+    return materialise(graph, half, cache=cache, extra_right=into_edges)
 
 
 def row_norms(half: sparse.csr_matrix) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""Relevance-measure plugin protocol over the planned compute layer.
+"""Relevance-measure plugin protocol over one compute layer.
 
 Every measure -- HeteSim, PathSim, PCRW, ReachProb, PPR, and the
 weighted multi-path ``combined`` -- is a registered
 :class:`~repro.core.measures.base.Measure` plugin sharing one
 :class:`~repro.core.measures.base.MeasureContext`: the same path
-materialisation (``plan_path`` + ``execute_plan``), the same
+materialisation (:func:`repro.core.backend.materialise`), the same
 :class:`~repro.core.cache.PathMatrixCache` byte budget, the same
 :class:`~repro.runtime.limits.ExecutionLimits` enforcement, and
 ``measure``-labelled :mod:`repro.obs` metrics.

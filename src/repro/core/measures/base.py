@@ -12,7 +12,7 @@ layer:
   attached), the :class:`~repro.core.cache.PathMatrixCache` (``PM``
   and adjacency-count entries under one byte budget), and a memoised
   global restart-walk operator for the path-blind baselines;
-* materialisation runs through :func:`repro.core.backend.execute_plan`,
+* materialisation runs through :func:`repro.core.backend.materialise`,
   so :class:`~repro.runtime.limits.ExecutionLimits` and the
   ``repro_plan_executions_total`` metrics apply to every measure;
 * the ``repro_measure_*`` registry families carry a ``measure`` label,
@@ -161,18 +161,17 @@ class MeasureContext:
         return scoring_form(self.graph, path, cache=self.cache)
 
     def reach(self, path: MetaPath) -> sparse.csr_matrix:
-        """``PM_path`` (Definition 9) through the planned layer."""
+        """``PM_path`` (Definition 9), through the cache when one is
+        attached."""
         if self.cache is not None:
             return self.cache.reach_prob(path)
-        matrix, _ = materialise(self.graph, path)
-        return matrix
+        return materialise(self.graph, path)
 
     def count_matrix(self, path: MetaPath) -> sparse.csr_matrix:
         """Adjacency-weighted path-instance counts ``W_path``."""
         if self.cache is not None:
             return self.cache.path_counts(path)[0]
-        matrix, _ = materialise(self.graph, path, weights="adjacency")
-        return matrix
+        return materialise(self.graph, path, weights="adjacency")
 
     def path_counts(
         self, path: MetaPath
@@ -344,24 +343,6 @@ class Measure(ABC):
         row = ctx.node_index(prepared.shape.source_type, source_key)
         return prepared, row
 
-    def _scores(
-        self,
-        ctx: MeasureContext,
-        spec: PathSpec,
-        source_key: str,
-        normalized: bool,
-    ) -> Tuple[np.ndarray, str]:
-        """One counted query: the source's score row and target type.
-
-        The hook behind :meth:`vector`, :meth:`rank` and :meth:`top_k`;
-        a measure with a cheaper single-row formula overrides it.
-        """
-        prepared, row = self._source_query(ctx, spec, source_key)
-        return (
-            prepared.score_vector(row, normalized=normalized),
-            prepared.shape.target_type,
-        )
-
     def vector(
         self,
         ctx: MeasureContext,
@@ -370,7 +351,8 @@ class Measure(ABC):
         normalized: bool = True,
     ) -> np.ndarray:
         """Scores of one source against every target-type object."""
-        return self._scores(ctx, spec, source_key, normalized)[0]
+        prepared, row = self._source_query(ctx, spec, source_key)
+        return prepared.score_vector(row, normalized=normalized)
 
     def pair(
         self,
@@ -393,10 +375,9 @@ class Measure(ABC):
         k: Optional[int],
         normalized: bool,
     ) -> List[Tuple[str, float]]:
-        scores, target_type = self._scores(
-            ctx, spec, source_key, normalized
-        )
-        keys = ctx.graph.node_keys(target_type)
+        prepared, row = self._source_query(ctx, spec, source_key)
+        scores = prepared.score_vector(row, normalized=normalized)
+        keys = prepared.target_keys()
         return select_top_k(scores, keys, len(keys) if k is None else k)
 
     def rank(

@@ -2,8 +2,8 @@
 
 Scoring state is the symmetric path's instance-count matrix
 ``M = W_PL @ W_PL'`` and its diagonal, materialised through
-:meth:`~repro.core.measures.base.MeasureContext.path_counts` -- the
-planned compute layer with adjacency weights, cached under the
+:meth:`~repro.core.measures.base.MeasureContext.path_counts` --
+materialised with adjacency weights, cached under the
 :class:`~repro.core.cache.PathMatrixCache` byte budget when a cache is
 attached (the diagonal in the same entry, computed once per
 materialised matrix).  ``normalized=False`` exposes the raw instance
@@ -16,11 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ...hin.errors import PathError, QueryError
+from ...hin.errors import PathError
 from ...hin.metapath import MetaPath, PathSpec
 from .base import (
-    _MEASURE_QUERIES,
-    _count,
     _pick_rows,
     Measure,
     MeasureContext,
@@ -84,34 +82,6 @@ class PathSimMeasure(Measure):
         return PathSimPrepared(
             ctx, self.resolve(ctx, meta), *ctx.path_counts(meta)
         )
-
-    def pair(
-        self,
-        ctx: MeasureContext,
-        spec: PathSpec,
-        source_key: str,
-        target_key: str,
-        normalized: bool = True,
-    ) -> float:
-        """Sparse-indexed pair score (never densifies a row)."""
-        _count(_MEASURE_QUERIES, self.name)
-        shape = self.resolve(ctx, spec)
-        type_name = shape.source_type
-        for key in (source_key, target_key):
-            if not ctx.graph.has_node(type_name, key):
-                raise QueryError(
-                    f"{key!r} is not a {type_name!r} node"
-                )
-        i = ctx.graph.node_index(type_name, source_key)
-        j = ctx.graph.node_index(type_name, target_key)
-        prepared = self.prepare(ctx, spec)
-        m_ab = prepared.counts[i, j]
-        if not normalized:
-            return float(m_ab)
-        denominator = prepared.diagonal[i] + prepared.diagonal[j]
-        if denominator == 0:
-            return 0.0
-        return float(2.0 * m_ab / denominator)
 
 
 register_measure(PathSimMeasure())

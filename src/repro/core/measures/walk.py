@@ -2,9 +2,8 @@
 
 Both score with entries of the reachable probability matrix ``PM_P``,
 materialised through
-:meth:`~repro.core.measures.base.MeasureContext.reach` (the planned
-compute layer, cache-backed when one is attached).  They are two views
-of one distribution:
+:meth:`~repro.core.measures.base.MeasureContext.reach` (cache-backed
+when a cache is attached).  They are two views of one distribution:
 
 * ``pcrw`` is the Lao & Cohen baseline the paper compares against --
   the asymmetric walker probability whose self-maximum violation
@@ -13,24 +12,20 @@ of one distribution:
   Fig. 7 lens), kept as a separately named plugin so experiment
   tables can cite it without implying the PCRW framing.
 
-Single-source queries propagate a one-hot row
-(:func:`repro.core.reachprob.reach_row`) instead of materialising the
-full ``PM``, matching the legacy functions bit for bit; batched
-``score_rows`` slices the materialised ``PM`` so a serve group costs
-one materialisation regardless of size.
+Single queries and batches alike read rows of the materialised ``PM``
+(:meth:`WalkPrepared.score_rows`), so a query scores the same bits
+either way, and a serve group costs one materialisation regardless of
+size.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from ...hin.errors import QueryError
 from ...hin.metapath import PathSpec
 from .base import (
-    _MEASURE_QUERIES,
-    _count,
     _pick_rows,
     Measure,
     MeasureContext,
@@ -73,51 +68,6 @@ class PCRWMeasure(Measure):
     ) -> WalkPrepared:
         meta = ctx.path(spec)
         return WalkPrepared(ctx, QueryShape.of_path(meta), ctx.reach(meta))
-
-    def _scores(
-        self,
-        ctx: MeasureContext,
-        spec: PathSpec,
-        source_key: str,
-        normalized: bool,
-    ) -> Tuple[np.ndarray, str]:
-        """One-hot row propagation -- never materialises the full PM."""
-        _count(_MEASURE_QUERIES, self.name)
-        from ..reachprob import reach_row
-
-        meta = ctx.path(spec)
-        return (
-            reach_row(ctx.graph, meta, source_key),
-            meta.target_type.name,
-        )
-
-    def pair(
-        self,
-        ctx: MeasureContext,
-        spec: PathSpec,
-        source_key: str,
-        target_key: str,
-        normalized: bool = True,
-    ) -> float:
-        """One reach probability, via one-hot propagation (no full PM)."""
-        meta = ctx.path(spec)
-        target_type = meta.target_type.name
-        if not ctx.graph.has_node(target_type, target_key):
-            raise QueryError(
-                f"{target_key!r} is not a {target_type!r} node"
-            )
-        row = self.vector(ctx, spec, source_key)
-        return float(row[ctx.graph.node_index(target_type, target_key)])
-
-    def matrix(
-        self,
-        ctx: MeasureContext,
-        spec: PathSpec,
-        normalized: bool = True,
-    ) -> np.ndarray:
-        _count(_MEASURE_QUERIES, self.name)
-        self.resolve(ctx, spec)
-        return self.prepare(ctx, spec).reach.toarray()
 
 
 class ReachProbMeasure(PCRWMeasure):

@@ -1,10 +1,11 @@
 """Reachable-probability utilities (Definition 9 conveniences).
 
-Thin helpers over :mod:`repro.hin.matrices` and
-:mod:`repro.core.cache` for working with single rows of ``PM_P`` -- the
-distribution a specific object induces over a path's endpoint type.  The
-Fig. 7 experiment (authors' publication distribution over conferences
-along APVC) is exactly :func:`reach_distribution`.
+Thin callers of the ``reachprob`` measure plugin
+(:mod:`repro.core.measures.walk`) for working with ``PM_P`` and its
+single rows -- the distribution a specific object induces over a path's
+endpoint type.  The Fig. 7 experiment (authors' publication
+distribution over conferences along APVC) is exactly
+:func:`reach_distribution`.
 """
 
 from __future__ import annotations
@@ -14,12 +15,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy import sparse
 
-from ..hin.errors import QueryError
 from ..hin.graph import HeteroGraph
-from ..hin.matrices import transition_matrix
 from ..hin.metapath import MetaPath
-from .backend import materialise
 from .cache import PathMatrixCache
+from .measures import MeasureContext, get_measure
 
 __all__ = ["reach_prob", "reach_row", "reach_distribution"]
 
@@ -31,34 +30,25 @@ def reach_prob(
 ) -> sparse.csr_matrix:
     """``PM_P``, optionally through a :class:`PathMatrixCache`.
 
-    Either way the product is evaluated by the planned compute layer
-    (:mod:`repro.core.plan` / :mod:`repro.core.backend`); the cache adds
-    prefix reuse and budgeted storage on top.
+    The matrix the ``reachprob`` measure scores from; the cache adds
+    prefix reuse and budgeted storage, never different bits.
     """
-    if cache is not None:
-        return cache.reach_prob(path)
-    matrix, _ = materialise(graph, path)
-    return matrix
+    return MeasureContext(graph=graph, cache=cache).reach(path)
 
 
 def reach_row(
     graph: HeteroGraph, path: MetaPath, source_key: str
 ) -> np.ndarray:
-    """One row of ``PM_P``: the reach distribution of a single object.
+    """One row of ``PM_P``: the reach distribution of a single object,
+    as the ``reachprob`` measure scores it.
 
-    Propagates a one-hot sparse row, so cost is proportional to the
-    touched neighbourhood rather than to the full matrix product.
+    Each call materialises ``PM_P``; read many rows of one path from
+    one :func:`reach_prob` matrix or through one shared
+    :class:`~repro.core.measures.MeasureContext` instead.
     """
-    type_name = path.source_type.name
-    if not graph.has_node(type_name, source_key):
-        raise QueryError(f"{source_key!r} is not a {type_name!r} node")
-    index = graph.node_index(type_name, source_key)
-    row = sparse.csr_matrix(
-        ([1.0], ([0], [index])), shape=(1, graph.num_nodes(type_name))
+    return get_measure("reachprob").vector(
+        MeasureContext(graph=graph), path, source_key
     )
-    for relation in path.relations:
-        row = row @ transition_matrix(graph, relation.name, "U")
-    return row.toarray().ravel()
 
 
 def reach_distribution(

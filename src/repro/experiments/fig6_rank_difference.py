@@ -15,7 +15,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..baselines.pcrw import pcrw_rank
+from ..core.measures import MeasureContext, get_measure
 from ..learning.rankdiff import average_rank_difference
 from .data import acm_engine
 from .registry import ExperimentResult, experiment
@@ -28,9 +28,12 @@ TOP_N = 200
 def run(seed: int = 0, top_n: int = TOP_N) -> ExperimentResult:
     """Regenerate the Fig. 6 series on the synthetic ACM network."""
     network, engine = acm_engine(seed)
-    graph = network.graph
     forward = engine.path("APVC")     # author -> conference
     backward = engine.path("CVPA")    # conference -> author
+    # One context for every query: each PCRW path is materialised once
+    # (through the engine's cache), and each ranking reads its rows.
+    ctx = engine.measures
+    pcrw = get_measure("pcrw")
 
     rows = []
     records: List[Dict[str, float]] = []
@@ -48,12 +51,12 @@ def run(seed: int = 0, top_n: int = TOP_N) -> ExperimentResult:
         # rank differences.  The APVC direction ranks authors by their
         # forward probability *to* the conference.
         pcrw_backward = [
-            author for author, _ in pcrw_rank(graph, backward, conference)
+            author for author, _ in pcrw.rank(ctx, backward, conference)
         ]
         forward_scores = [
             (author, float(engine_score))
             for author, engine_score in _pcrw_forward_scores(
-                graph, forward, conference
+                ctx, forward, conference
             )
         ]
         forward_scores.sort(key=lambda item: (-item[1], item[0]))
@@ -129,18 +132,18 @@ def run(seed: int = 0, top_n: int = TOP_N) -> ExperimentResult:
     )
 
 
-def _pcrw_forward_scores(graph, forward_path, conference):
+def _pcrw_forward_scores(source, forward_path, conference):
     """PCRW scores of every author *towards* ``conference`` (APVC).
 
-    One column of ``PM_APVC``; computed by walking the reverse path from
-    the conference with *forward-path transition probabilities*, i.e. by
-    reading the matrix column -- so this is genuinely the asymmetric
-    forward direction, not HeteSim's backward normalisation.
+    One column of ``PM_APVC``, read through ``source`` (a graph, or a
+    shared :class:`~repro.core.measures.MeasureContext` that
+    materialises it once): the *forward-path transition probabilities*
+    read by column -- so this is genuinely the asymmetric forward
+    direction, not HeteSim's backward normalisation.
     """
-    from ..core.reachprob import reach_prob
-
-    matrix = reach_prob(graph, forward_path)
-    conf_index = graph.node_index("conference", conference)
+    ctx = MeasureContext.of(source)
+    matrix = ctx.reach(forward_path)
+    conf_index = ctx.graph.node_index("conference", conference)
     column = matrix[:, conf_index].toarray().ravel()
-    authors = graph.node_keys("author")
+    authors = ctx.graph.node_keys("author")
     return zip(authors, column)

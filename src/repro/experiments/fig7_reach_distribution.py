@@ -14,7 +14,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..core.reachprob import reach_row
+from ..core.measures import get_measure
 from .data import acm_engine
 from .registry import ExperimentResult, experiment
 from .tables import format_score, render_table
@@ -40,9 +40,12 @@ def run(seed: int = 0) -> ExperimentResult:
     conf_indices = [
         graph.node_index("conference", conf) for conf in conferences
     ]
+    # The reachprob measure's rows of one PM_APVC (materialised once,
+    # through the engine's cache).
+    reach = get_measure("reachprob")
     distributions: Dict[str, List[float]] = {}
     for author in persona_keys:
-        row = reach_row(graph, path, author)
+        row = reach.vector(engine.measures, path, author)
         distributions[author] = [float(row[i]) for i in conf_indices]
 
     rows = []

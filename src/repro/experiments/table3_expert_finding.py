@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..baselines.pcrw import pcrw_pair
+from ..core.measures import get_measure
 from .data import acm_engine
 from .registry import ExperimentResult, experiment
 from .tables import format_score, render_table
@@ -39,9 +39,10 @@ def pairs_for(network) -> List[Tuple[str, str, str]]:
 def run(seed: int = 0) -> ExperimentResult:
     """Regenerate Table 3 on the synthetic ACM network."""
     network, engine = acm_engine(seed)
-    graph = network.graph
     forward = engine.path("APVC")
     backward = engine.path("CVPA")
+    # Each PCRW direction's PM is materialised once (engine cache).
+    pcrw = get_measure("pcrw")
 
     rows = []
     records = []
@@ -49,8 +50,10 @@ def run(seed: int = 0) -> ExperimentResult:
         hetesim_score = engine.relevance(author, conference, forward)
         # Symmetric by Property 3: the CVPA direction gives the same value.
         hetesim_check = engine.relevance(conference, author, backward)
-        pcrw_forward = pcrw_pair(graph, forward, author, conference)
-        pcrw_backward = pcrw_pair(graph, backward, conference, author)
+        pcrw_forward = pcrw.pair(engine.measures, forward, author, conference)
+        pcrw_backward = pcrw.pair(
+            engine.measures, backward, conference, author
+        )
         records.append(
             {
                 "role": role,

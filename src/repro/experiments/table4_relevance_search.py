@@ -34,7 +34,8 @@ def run(seed: int = 0) -> ExperimentResult:
 
     hetesim_top = engine.top_k(hub, path, k=TOP_K)
     pathsim_top = pathsim_rank(graph, path, hub)[:TOP_K]
-    pcrw_top = pcrw_rank(graph, path, hub)[:TOP_K]
+    pcrw_ranking = pcrw_rank(graph, path, hub)
+    pcrw_top = pcrw_ranking[:TOP_K]
 
     rows = []
     for rank in range(TOP_K):
@@ -52,8 +53,7 @@ def run(seed: int = 0) -> ExperimentResult:
     table = render_table(["Rank", "HeteSim", "PathSim", "PCRW"], rows)
 
     self_rank_pcrw = next(
-        (i + 1 for i, (key, _) in enumerate(pcrw_rank(graph, path, hub))
-         if key == hub),
+        (i + 1 for i, (key, _) in enumerate(pcrw_ranking) if key == hub),
         None,
     )
     title = (

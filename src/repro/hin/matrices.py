@@ -111,8 +111,8 @@ def factor_matrix(
 ) -> sparse.csr_matrix:
     """One chain factor of a path-matrix product, by source kind.
 
-    The planner's single factor source
-    (:mod:`repro.core.plan` / :mod:`repro.core.backend`): ``"U"`` and
+    The single factor source of
+    :func:`repro.core.backend.materialise`: ``"U"`` and
     ``"V"`` are the Definition 8 transition matrices (reachable
     probabilities), ``"W"`` is the raw weighted adjacency -- the
     unnormalised factor PathSim's path-count chain multiplies.

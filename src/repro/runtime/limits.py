@@ -3,8 +3,8 @@
 :class:`ExecutionLimits` describes the resource envelope of one query:
 a wall-clock deadline plus cumulative nnz / byte budgets and a cap on
 densified intermediates.  Limits are *declarative*; enforcement happens
-cooperatively inside :func:`repro.core.backend.execute_plan`, which
-consults a per-attempt :class:`LimitTracker` between schedule steps and
+cooperatively inside :func:`repro.core.backend.materialise`, which
+consults a per-attempt :class:`LimitTracker` between chain products and
 raises the typed faults
 :class:`~repro.hin.errors.DeadlineExceededError` /
 :class:`~repro.hin.errors.BudgetExceededError` on breach.

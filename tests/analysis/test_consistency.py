@@ -218,10 +218,10 @@ class TestImportLayeringRule:
                 (
                     "src/repro/core/engine.py",
                     "from repro.hin.graph import HeteroGraph\n"
-                    "from repro.core.backend import execute_plan\n",
+                    "from repro.core.backend import materialise\n",
                 ),
                 ("src/repro/hin/graph.py", "class HeteroGraph:\n    pass\n"),
-                ("src/repro/core/backend.py", "def execute_plan():\n    pass\n"),
+                ("src/repro/core/backend.py", "def materialise():\n    pass\n"),
             ],
         )
         assert triples == []

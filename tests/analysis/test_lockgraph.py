@@ -134,7 +134,7 @@ class TestMutationDiscipline:
 
 class TestGuaranteedHeld:
     def test_private_helper_called_under_lock_is_clean(self):
-        # The freshest_prefix() -> _touch() pattern: the helper mutates
+        # The lookup() -> _touch() pattern: the helper mutates
         # without a lexical with-block, but its only caller holds the
         # lock, so the fixpoint proves it safe.
         findings = lint(

@@ -40,7 +40,7 @@ class TestImportResolution:
                 """\
                 import os
                 from repro.hin import graph
-                from .backend import execute_plan
+                from .backend import materialise
                 from ..hin.errors import AnalysisError
                 """,
             )

@@ -64,3 +64,42 @@ def bipartite():
 @pytest.fixture()
 def fig4_engine(fig4) -> HeteSimEngine:
     return HeteSimEngine(fig4)
+
+
+@pytest.fixture(scope="session")
+def skewed():
+    """Two 900-object types around a 6-object one (shared; do not
+    mutate): the size skew under which a chain's association order
+    matters (the planner bench's network)."""
+    from repro.datasets.random_hin import make_random_hin
+    from repro.hin.schema import NetworkSchema
+
+    schema = NetworkSchema.from_spec(
+        types=[("a", "A"), ("b", "B"), ("c", "C")],
+        relations=[("ab", "a", "b"), ("bc", "b", "c")],
+    )
+    return make_random_hin(
+        schema,
+        sizes={"a": 900, "b": 900, "c": 6},
+        edge_prob=6.0 / 900,
+        edge_probs={"bc": 0.5},
+        seed=0,
+        ensure_connected_rows=True,
+    )
+
+
+@pytest.fixture()
+def traced():
+    """The process-wide tracer, enabled and emptied for one test.
+
+    Materialisation is observed through its ``plan.execute`` /
+    ``plan.step`` spans; the tracer is disabled and emptied again
+    afterwards.
+    """
+    from repro.obs import TRACER
+
+    TRACER.reset()
+    TRACER.enable()
+    yield TRACER
+    TRACER.disable()
+    TRACER.reset()

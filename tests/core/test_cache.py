@@ -43,13 +43,6 @@ class TestPathMatrixCache:
         )
         assert cache.num_cached > cached_count
 
-    def test_prefix_caching_can_be_disabled(self, fig4):
-        cache = PathMatrixCache(fig4, cache_prefixes=False)
-        cache.reach_prob(fig4.schema.path("APC"))
-        assert not cache.contains(fig4.schema.path("AP"))
-        # The full path itself is still cached.
-        assert cache.contains(fig4.schema.path("APC"))
-
     def test_put_and_contains(self, fig4):
         cache = PathMatrixCache(fig4)
         path = fig4.schema.path("AP")
@@ -126,14 +119,55 @@ class TestPathMatrixCache:
         assert stats.misses >= 1
         assert "cache:" in stats.summary()
 
-    def test_last_plan_recorded(self, fig4):
+    def test_lookup_is_fresh_only_and_uncounted(self, fig4):
         cache = PathMatrixCache(fig4)
-        assert cache.last_plan is None
-        cache.reach_prob(fig4.schema.path("APC"))
-        plan = cache.last_plan
-        assert plan is not None
-        assert plan.key == ("writes", "published_in")
-        assert plan.steps
+        ap = fig4.schema.path("AP")
+        key = ("writes",)
+        assert cache.lookup(key) is None
+        matrix = cache.reach_prob(ap)
+        assert np.array_equal(cache.lookup(key).toarray(), matrix.toarray())
+        assert (cache.hits, cache.misses) == (0, 1)
+        fig4.add_edge("writes", "Tom", "p3")
+        assert cache.lookup(key) is None
+
+    @pytest.mark.parametrize("spec", ["APC", "APAPA"])
+    def test_miss_returns_the_stored_matrix(self, fig4, spec):
+        """The caller gets the cached object itself, also when the last
+        product was computed dense: one CSR conversion, and no copy the
+        byte budget does not see."""
+        cache = PathMatrixCache(fig4)
+        path = fig4.schema.path(spec)
+        matrix = cache.reach_prob(path)
+        key = tuple(relation.name for relation in path.relations)
+        assert cache.lookup(key) is matrix
+
+
+#: Paths over the skewed network whose cold chain orders differ from
+#: the orders a cached prefix would suggest.
+SKEWED_SPECS = ["AB", "ABC", "ABCB", "ABCBA", "CBABC", "ABCBABC"]
+
+
+class TestHistoryIndependence:
+    def test_matrix_is_the_same_bits_whatever_the_cache_held(self, skewed):
+        """Every path's matrix equals its cold materialisation (through
+        an empty cache) bit for bit after any other path of the list
+        was materialised first.  A cache that re-planned the chain
+        around whatever prefix it held made 6 of these 36 pairs differ
+        in the last bits."""
+        cold = {
+            spec: PathMatrixCache(skewed)
+            .reach_prob(skewed.schema.path(spec))
+            .toarray()
+            for spec in SKEWED_SPECS
+        }
+        for prior in SKEWED_SPECS:
+            for spec in SKEWED_SPECS:
+                cache = PathMatrixCache(skewed)
+                cache.reach_prob(skewed.schema.path(prior))
+                warm = cache.reach_prob(skewed.schema.path(spec))
+                assert np.array_equal(warm.toarray(), cold[spec]), (
+                    prior, spec
+                )
 
 
 SPECS = ["APC", "APA", "APAPC", "APAPA", "AP", "APCPA"]
@@ -169,7 +203,7 @@ class TestByteBudgetEviction:
         )
 
     def test_lru_evicts_oldest_first(self, fig4):
-        cache = PathMatrixCache(fig4, cache_prefixes=False)
+        cache = PathMatrixCache(fig4)
         ap = fig4.schema.path("AP")
         pc = fig4.schema.path("PC")
         cache.reach_prob(ap)

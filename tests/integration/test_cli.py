@@ -1,5 +1,7 @@
 """Integration tests for the general relevance-search CLI."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -384,6 +386,31 @@ class TestTraceCommand:
             child["name"] == "engine.materialise_halves"
             for child in warm.get("children", [])
         )
+
+
+class TestCacheStatsCommand:
+    def test_repeat_shows_hits_and_one_step_line_per_product(
+        self, graph_file, capsys, clean_tracer
+    ):
+        code = main(
+            ["cache-stats", graph_file, "--paths", "APC", "APCPA",
+             "APAPC", "--repeat", "2"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        hits = re.search(r"(\d+) hits / (\d+) misses", lines[0])
+        assert int(hits.group(1)) > 0
+        executes = [line for line in lines if line.startswith("plan.execute")]
+        steps = [
+            line for line in lines if line.lstrip().startswith("plan.step")
+        ]
+        products = sum(
+            int(re.search(r"steps=(\d+)", line).group(1))
+            for line in executes
+        )
+        assert products > 0
+        assert len(steps) == products
+        assert all("nnz=" in line for line in steps)
 
 
 class TestMeasuresCommand:

@@ -2,7 +2,7 @@
 
 Documentation that silently rots is worse than none; this module executes
 the README's quickstart snippet and checks the claims the README makes
-around it, and runs every tutorial snippet in order.
+around it, and runs every README and tutorial snippet in order.
 """
 
 import re
@@ -27,6 +27,17 @@ class TestReadme:
         # The claims made next to the snippet:
         assert engine.relevance("Tom", "KDD", "APC") > 0
         assert engine.top_k("Tom", "APC", k=1)[0][0] == "KDD"
+
+    def test_every_python_block_runs_in_order(self):
+        """The README reads as one script: the measures block scores on
+        the quickstart block's engine."""
+        blocks = extract_python_blocks(README.read_text(encoding="utf-8"))
+        assert len(blocks) >= 2, "README lost its measures code block"
+        namespace = {}
+        for number, block in enumerate(blocks):
+            code = compile(block, f"README.md block {number}", "exec")
+            exec(code, namespace)  # noqa: S102
+        assert namespace["fit"].spec
 
     def test_referenced_files_exist(self):
         text = README.read_text(encoding="utf-8")

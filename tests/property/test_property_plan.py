@@ -86,18 +86,18 @@ class TestPlannerEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_planned_matches_left_to_right(self, graph, spec):
         path = graph.schema.path(spec)
-        planned, stats = materialise(graph, path)
+        planned = materialise(graph, path)
         direct = reachable_probability_matrix(graph, path)
         np.testing.assert_allclose(
             planned.toarray(), direct.toarray(), atol=1e-12
         )
-        assert stats.output_shape == tuple(direct.shape)
+        assert planned.shape == direct.shape
 
     @given(random_hins(), path_specs())
     @settings(max_examples=40, deadline=None)
     def test_adjacency_plan_matches_left_to_right(self, graph, spec):
         path = graph.schema.path(spec)
-        planned, _ = materialise(graph, path, weights="adjacency")
+        planned = materialise(graph, path, weights="adjacency")
         product = None
         for relation in path.relations:
             step = graph.adjacency(relation.name)

@@ -196,12 +196,9 @@ class TestBatchRankingsPerQuery:
     differs from index order.
 
     The reference row is the plugin's prepared ``score_rows`` for the
-    one source, on the server's own engine (a cache may associate a
-    path's products differently, which moves last bits).  For HeteSim,
-    PathSim and Combined that row is what ``Measure.top_k`` ranks, and
-    the test checks that too; PCRW's single query propagates a one-hot
-    row instead, which can differ from the materialised ``PM`` row in
-    the last bit."""
+    one source, on the server's own engine.  That row is also what
+    ``Measure.top_k`` ranks for every measure, so the single query's
+    ranking must equal the batch's too."""
 
     @staticmethod
     def _check(graph, server, queries):
@@ -219,12 +216,11 @@ class TestBatchRankingsPerQuery:
             k = len(keys) if query.k is None else max(query.k, 0)
             expected = [(keys[j], float(scores[j])) for j in order[:k]]
             assert list(answer.ranking) == expected, query
-            if query.measure != "pcrw":
-                single = measure.top_k(
-                    ctx, query.path, query.source, k=k,
-                    normalized=query.normalized,
-                )
-                assert single == expected, query
+            single = measure.top_k(
+                ctx, query.path, query.source, k=k,
+                normalized=query.normalized,
+            )
+            assert single == expected, query
 
     @given(apc_graphs(max_n=16), st.data())
     @settings(max_examples=60, deadline=None)

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.plan import optimal_chain_order
+from repro.core.backend import sparse_chain_order
 from repro.core.hetesim import hetesim_matrix
 from repro.core.variants import dice_hetesim_matrix
 from repro.datasets.schemas import bipartite_schema
@@ -75,6 +75,23 @@ def matrix_chains(draw):
     return dims, matrices
 
 
+def _dense_order(dims):
+    """The chain-order DP over fully dense factors."""
+    shapes = [(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
+    return sparse_chain_order(shapes, [rows * cols for rows, cols in shapes])[0]
+
+
+def _evaluate(split, matrices, i, j, products):
+    """The chain product by recursion over ``split``, logging products."""
+    if i == j:
+        return matrices[i]
+    k = split[i][j]
+    left = _evaluate(split, matrices, i, k, products)
+    right = _evaluate(split, matrices, k + 1, j, products)
+    products.append((i, j))
+    return left @ right
+
+
 class TestChainOrderInvariants:
     @given(matrix_chains())
     @settings(max_examples=80, deadline=None)
@@ -83,16 +100,15 @@ class TestChainOrderInvariants:
         expected = matrices[0]
         for matrix in matrices[1:]:
             expected = expected @ matrix
-        working = list(matrices)
-        for left, right in optimal_chain_order(dims):
-            working[left] = working[left] @ working[right]
-            working.pop(right)
-        assert len(working) == 1
-        np.testing.assert_allclose(working[0], expected, atol=1e-9)
+        result = _evaluate(
+            _dense_order(dims), matrices, 0, len(matrices) - 1, []
+        )
+        np.testing.assert_allclose(result, expected, atol=1e-9)
 
     @given(matrix_chains())
     @settings(max_examples=80, deadline=None)
     def test_schedule_length(self, chain):
         dims, matrices = chain
-        schedule = optimal_chain_order(dims)
-        assert len(schedule) == len(matrices) - 1
+        products = []
+        _evaluate(_dense_order(dims), matrices, 0, len(matrices) - 1, products)
+        assert len(products) == len(matrices) - 1

@@ -136,9 +136,10 @@ class TestAmbientWiring:
         assert excinfo.value.site == SITE_EXECUTOR_STEP
         assert plan.fired == [(SITE_EXECUTOR_STEP, 0, "fail")]
 
-    def test_backend_counts_every_step(self, fig4):
+    def test_backend_counts_every_step(self, fig4, traced):
         path = fig4.schema.path("APCPA")
         plan = FaultPlan()
         with execution_scope(faults=plan):
-            _, stats = materialise(fig4, path)
-        assert plan.occurrences(SITE_EXECUTOR_STEP) == len(stats.steps)
+            materialise(fig4, path)
+        steps = traced.roots[-1].attributes["steps"]
+        assert plan.occurrences(SITE_EXECUTOR_STEP) == steps == 3

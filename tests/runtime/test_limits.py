@@ -163,12 +163,12 @@ class TestBackendEnforcement:
 
     def test_generous_limits_leave_result_identical(self, fig4):
         path = fig4.schema.path("APCPA")
-        plain, _ = materialise(fig4, path)
+        plain = materialise(fig4, path)
         tracker = ExecutionLimits(
             deadline_ms=60_000, max_nnz=10**9, max_bytes=10**12
         ).tracker()
         with execution_scope(tracker=tracker):
-            bounded, _ = materialise(fig4, path)
+            bounded = materialise(fig4, path)
         assert (plain != bounded).nnz == 0
         assert tracker.steps_executed > 0
         assert tracker.nnz_charged > 0
@@ -176,25 +176,13 @@ class TestBackendEnforcement:
 
     def test_truncation_accumulates_dropped_mass(self, fig4):
         path = fig4.schema.path("APCPA")
-        exact, _ = materialise(fig4, path)
+        exact = materialise(fig4, path)
         # eps > 1 drops every entry of the first product, so the dropped
         # mass is positive regardless of the toy network's values.
         with execution_scope(truncate_eps=1.5) as context:
-            truncated, _ = materialise(fig4, path)
+            truncated = materialise(fig4, path)
         assert context.truncated_mass > 0.0
         assert truncated.nnz < exact.nnz
-
-    def test_explicit_context_overrides_ambient(self, fig4):
-        from repro.core.plan import plan_path
-        from repro.core.backend import execute_plan
-        from repro.runtime.limits import ExecutionContext
-
-        path = fig4.schema.path("APCPA")
-        plan = plan_path(fig4, path)
-        ambient_tracker = ExecutionLimits(max_nnz=1).tracker()
-        with execution_scope(tracker=ambient_tracker):
-            # The explicit (unlimited) context wins over the ambient one.
-            execute_plan(fig4, plan, context=ExecutionContext())
 
 
 class TestIntersect:
