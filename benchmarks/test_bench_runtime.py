@@ -2,14 +2,17 @@
 
 The cooperative checks (deadline, nnz/byte budgets) run between plan
 steps, so their cost must be negligible against the multiplications
-they guard.  The happy-path overhead ratio is measured interleaved
-(min-of-N for both arms, alternating, so machine noise hits both
-equally) and recorded in the bench JSON under ``extra_info``; the
-<5% bound is part of the runtime's contract.
+they guard.  The happy-path overhead ratio is measured over many
+interleaved rounds (the two arms run back to back and alternate which
+goes first, so machine noise and order effects hit both equally), taken
+as the median of the rounds' bounded/plain ratios, and recorded in the
+bench JSON under ``extra_info``; the <5% bound is part of the runtime's
+contract.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -19,7 +22,9 @@ from repro.datasets.random_hin import make_random_hin
 from repro.hin.schema import NetworkSchema
 from repro.runtime.limits import ExecutionLimits, execution_scope
 
-ROUNDS = 7
+#: Interleaved rounds per arm: a minimum of a few rounds follows the
+#: host's noise, a median of this many does not.
+ROUNDS = 101
 
 #: Generous envelope: every check runs, nothing ever trips.
 HAPPY_LIMITS = ExecutionLimits(
@@ -60,18 +65,26 @@ def test_limit_checking_overhead(benchmark, network):
 
     plain()  # warm both arms (allocator, caches) before timing
     bounded()
-    plain_times, bounded_times = [], []
-    for _ in range(ROUNDS):
-        start = time.perf_counter()
-        plain()
-        plain_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        bounded()
-        bounded_times.append(time.perf_counter() - start)
+    times = {plain: [], bounded: []}
+    for round_ in range(ROUNDS):
+        for arm in (plain, bounded) if round_ % 2 else (bounded, plain):
+            start = time.perf_counter()
+            arm()
+            times[arm].append(time.perf_counter() - start)
 
-    overhead_ratio = min(bounded_times) / min(plain_times)
-    benchmark.extra_info["plain_seconds"] = min(plain_times)
-    benchmark.extra_info["bounded_seconds"] = min(bounded_times)
+    # Per-round ratios, not a ratio of the arms' medians: a call's time
+    # can drift between host speed modes (about 15 and 21 ms on a
+    # 2-CPU host) over a few rounds, and a median landing between them
+    # moves the ratio of medians by several percent; two back-to-back
+    # calls share the mode.
+    overhead_ratio = statistics.median(
+        b / p for p, b in zip(times[plain], times[bounded])
+    )
+    plain_seconds = statistics.median(times[plain])
+    bounded_seconds = statistics.median(times[bounded])
+    benchmark.extra_info["plain_seconds"] = plain_seconds
+    benchmark.extra_info["bounded_seconds"] = bounded_seconds
+    benchmark.extra_info["ratio_of_medians"] = bounded_seconds / plain_seconds
     benchmark.extra_info["overhead_ratio"] = overhead_ratio
 
     benchmark(bounded)

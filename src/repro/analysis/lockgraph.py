@@ -1,12 +1,11 @@
 """RPR004: static lock-discipline analysis over thread-safe classes.
 
-PRs 2-3 made :class:`~repro.core.cache.PathMatrixCache`,
-:class:`~repro.core.engine.HeteSimEngine`,
-:class:`~repro.runtime.limits.LimitTracker`,
-:class:`~repro.runtime.faults.FaultPlan` and
-:class:`~repro.serve.dispatch.SingleFlight` thread-safe by hand-applied
-convention: every mutation of ``_``-prefixed shared state happens under
-``with self._lock``.  This module machine-checks that convention:
+:class:`~repro.core.cache.PathMatrixCache`,
+:class:`~repro.runtime.limits.LimitTracker` and
+:class:`~repro.runtime.faults.FaultPlan` are thread-safe by
+hand-applied convention: every mutation of ``_``-prefixed shared state
+happens under ``with self._lock``.  This module machine-checks that
+convention:
 
 * A class is **lock-disciplined** when a method assigns a
   ``threading.Lock()`` / ``RLock()`` to a ``self._*`` attribute (or its
@@ -23,9 +22,9 @@ convention: every mutation of ``_``-prefixed shared state happens under
   every cycle -- the static signature of a potential ABBA deadlock.
 
 Known limits (by design, documented in ``docs/static_analysis.md``):
-locks passed around as locals (the engine's per-key half locks) are
-invisible -- such sites are baselined with a justification -- and the
-call graph is intra-class only.
+locks passed around as locals are invisible -- such sites are
+baselined with a justification -- and the call graph is intra-class
+only.
 """
 
 from __future__ import annotations

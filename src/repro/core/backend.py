@@ -225,7 +225,7 @@ def truncating() -> bool:
 
     Products computed under truncation (a degraded strategy's
     ``truncate_eps > 0``) are not the exact matrices of any path; the
-    cache and the engine memo consult this before storing anything.
+    cache consults this before storing anything or sharing a build.
     """
     context = current_context()
     return context is not None and context.truncate_eps > 0.0

@@ -1,4 +1,4 @@
-"""Materialisation cache for reachable probability matrices (Section 4.6).
+"""The memo of derived matrices (Section 4.6).
 
 The paper's second speed-up: pre-compute and store the reachable
 probability matrices of *partial* paths, then answer longer-path queries
@@ -7,18 +7,25 @@ with ``PM_CPA`` and ``PM_APA`` stored, the paths CPAPA, APAPC, CPAPC,
 APCPA and APAPA are all products of stored factors (plus transposes for
 reversed pieces).
 
-:class:`PathMatrixCache` keys matrices by the path's relation-name tuple
-and answers misses with :func:`repro.core.backend.materialise`: the
-chain's association order depends only on the path and the graph's
-sizes, a fresh cached prefix stands in where that order forms it, and
-the prefixes it forms are stored.  So a matrix is the same bits
-whatever the cache held.  Entries
-are kept under an optional **byte budget** with least-recently-used
+:class:`PathMatrixCache` is the one store of such derived state.  Its
+entries are keyed by relation-name tuples, with one ``#``-prefixed
+namespace token first where the entry is not a plain ``PM`` matrix:
+
+* ``PM`` matrices of paths and of the prefixes
+  :func:`repro.core.backend.materialise` forms (no token);
+* path-count entries ``(W_P, diag(W_P))`` (:data:`COUNT_NAMESPACE`);
+* HeteSim scoring forms, built by the engine (:data:`FORM_NAMESPACE`);
+* the global restart-walk operator of Personalized PageRank
+  (:data:`WALK_NAMESPACE`).
+
+Every entry is tagged with its relation versions read before its build,
+and all of them share one **byte budget** with least-recently-used
 eviction, making the §4.6 space-vs-time trade an enforced bound rather
-than an unbounded growth.  The budget also covers entries owned
-elsewhere that register with :meth:`PathMatrixCache.hold` -- the
-engine's memo of per-path scoring forms -- so one LRU order bounds
-both.
+than an unbounded growth.  :meth:`PathMatrixCache.get_or_build` is the
+one way in on a miss: concurrent misses of one key share one build.
+A ``PM`` matrix is the same bits whatever the cache held, because the
+chain's association order depends only on the path and the graph's
+sizes.
 """
 
 from __future__ import annotations
@@ -36,36 +43,53 @@ from ..hin.metapath import MetaPath
 from ..obs.metrics import REGISTRY, instance_label
 from .backend import materialise, truncating
 
-__all__ = ["CacheStats", "PathMatrixCache"]
+__all__ = [
+    "CacheStats",
+    "COUNT_NAMESPACE",
+    "FORM_NAMESPACE",
+    "PathMatrixCache",
+    "WALK_NAMESPACE",
+    "path_key",
+]
 
 PathKey = Tuple[str, ...]
 #: What a cache slot holds: a path matrix, or a tuple of arrays and
 #: matrices that live and die together (a count matrix with its
-#: diagonal, a held scoring form).
+#: diagonal, a scoring form, the walk operator with its index).
 Entry = Union[sparse.csr_matrix, tuple]
 
-#: Namespace token prefixing keys of adjacency-weighted (path-count)
-#: products, so they can never collide with -- or be substituted as
-#: prefixes of -- the transition-weighted ``PM`` entries.
+#: Namespace token of adjacency-weighted (path-count) entries, so they
+#: can never collide with -- or be substituted as prefixes of -- the
+#: transition-weighted ``PM`` entries.
 COUNT_NAMESPACE = "#counts"
+#: Namespace token of HeteSim scoring forms.
+FORM_NAMESPACE = "#form"
+#: Namespace token of the global restart-walk operator (suffixed with
+#: the walk's direction); its key lists every relation, so any edit
+#: anywhere makes it stale.
+WALK_NAMESPACE = "#walk"
 
 
-def _key(path: MetaPath) -> PathKey:
+def path_key(path: MetaPath) -> PathKey:
+    """The cache key of ``path``'s ``PM`` matrix: its relation names."""
     return tuple(relation.name for relation in path.relations)
 
 
 def _relation_names(key: PathKey) -> PathKey:
-    """The relation-name part of a key (namespace tokens stripped)."""
-    return tuple(name for name in key if not name.startswith("#"))
+    """The relation-name part of a key (its namespace token stripped)."""
+    return key[1:] if key and key[0].startswith("#") else key
 
 
 def _nbytes(entry) -> int:
-    """Bytes of an entry's CSR arrays and dense vectors."""
-    if isinstance(entry, np.ndarray):
-        return entry.nbytes
+    """Bytes of an entry's CSR arrays and dense vectors.  Other parts
+    (the walk operator's index of node labels) are not counted."""
     if isinstance(entry, tuple):
         return sum(_nbytes(part) for part in entry)
-    return entry.data.nbytes + entry.indices.nbytes + entry.indptr.nbytes
+    if isinstance(entry, np.ndarray):
+        return entry.nbytes
+    if sparse.issparse(entry):
+        return entry.data.nbytes + entry.indices.nbytes + entry.indptr.nbytes
+    return 0
 
 
 @dataclass(frozen=True)
@@ -98,7 +122,7 @@ class CacheStats:
 
 
 class PathMatrixCache:
-    """Cache of ``PM_P`` matrices with budgeted materialisation.
+    """Memo of ``PM_P`` matrices and every matrix derived from them.
 
     Parameters
     ----------
@@ -110,8 +134,12 @@ class PathMatrixCache:
         Optional cap on :attr:`nbytes`.  When set, least-recently-used
         entries are evicted after every store so the cap always holds,
         and an entry larger than the whole budget is not stored;
-        eviction never changes results (evicted matrices are simply
-        recomputed on demand).
+        eviction never changes results (evicted entries are simply
+        rebuilt on demand).
+
+    The hit/miss counters count ``PM`` and path-count lookups
+    (:meth:`reach_prob`, :meth:`path_counts`); forms and the walk
+    operator are looked up through :meth:`get_or_build` uncounted.
 
     Examples
     --------
@@ -131,17 +159,18 @@ class PathMatrixCache:
             )
         self.graph = graph
         self.byte_budget = byte_budget
-        # Guards the entry dicts and counters: the serving layer
-        # (repro.serve) materialises *distinct* paths concurrently
-        # against one shared cache, so lookups/stores must be atomic.
-        # The lock is never held across a materialisation -- only around
-        # dict reads/writes -- so independent materialisations overlap.
+        # Guards the two dicts and the byte total: the serving layer
+        # builds distinct entries concurrently against one shared
+        # cache.  Never held across a build, only around dict reads and
+        # writes, so independent builds overlap.
         self._lock = threading.RLock()
-        # Insertion order doubles as recency order (moved on touch).
-        self._matrices: Dict[PathKey, Entry] = {}
-        self._signatures: Dict[PathKey, Tuple[int, ...]] = {}
-        # Held entries' owners, told when their entry is evicted.
-        self._releases: Dict[PathKey, Callable[[], None]] = {}
+        # key -> (signature, entry, bytes) as one value, so a read can
+        # never pair an entry with another entry's signature.
+        # Insertion order doubles as recency order (moved on use).
+        self._entries: Dict[PathKey, Tuple[Tuple[int, ...], Entry, int]] = {}
+        self._bytes = 0
+        # key -> event set when the build in flight for key ends.
+        self._inflight: Dict[PathKey, threading.Event] = {}
         # The hit/miss/eviction counters and the volume gauges are this
         # cache's labelled children of the process-wide registry
         # families; the public ``hits``/``misses``/``evictions``
@@ -161,7 +190,8 @@ class PathMatrixCache:
             "Entries evicted to hold the byte budget.",
         ).labels(cache=self.obs_label)
         self._entries_gauge = REGISTRY.gauge(
-            "repro_cache_entries", "Cache entries held (held forms included)."
+            "repro_cache_entries",
+            "Cache entries held (forms and the walk operator included).",
         ).labels(cache=self.obs_label)
         self._bytes_gauge = REGISTRY.gauge(
             "repro_cache_bytes", "Bytes held by cache entries."
@@ -170,36 +200,79 @@ class PathMatrixCache:
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-    def _fresh(self, key: PathKey) -> bool:
-        """Whether the cached entry for ``key`` reflects the current
-        graph (per-relation version signature match).  Namespace tokens
-        (``#``-prefixed, e.g. :data:`COUNT_NAMESPACE`) are not relation
-        names and are excluded from the signature."""
-        return self._signatures.get(key) == self.graph.relations_signature(
-            _relation_names(key)
-        )
+    def _fresh(self, key: PathKey, signature) -> Optional[Entry]:
+        """The entry under ``key`` if tagged ``signature``, marked most
+        recently used (call under the lock)."""
+        held = self._entries.get(key)
+        if held is None or held[0] != signature:
+            return None
+        self._entries[key] = self._entries.pop(key)
+        return held[1]
 
-    def _touch(self, key: PathKey) -> None:
-        """Move ``key`` to most-recently-used position."""
-        matrix = self._matrices.pop(key)
-        self._matrices[key] = matrix
+    def _signature(self, key: PathKey) -> Tuple[int, ...]:
+        return self.graph.relations_signature(_relation_names(key))
 
     def lookup(self, key: PathKey) -> Optional[Entry]:
         """The fresh entry stored under ``key``, marked most recently
         used; None when absent or stale.  Counts no hit or miss:
         :func:`~repro.core.backend.materialise` reads cached prefixes
         through it."""
+        signature = self._signature(key)
         with self._lock:
-            entry = self._matrices.get(key)
-            if entry is None or not self._fresh(key):
-                return None
-            self._touch(key)
-            return entry
+            return self._fresh(key, signature)
 
-    def _counted_lookup(self, key: PathKey) -> Optional[Entry]:
-        """:meth:`lookup`, counted as a hit or a miss."""
-        entry = self.lookup(key)
-        (self._misses if entry is None else self._hits).inc()
+    def get_or_build(
+        self, key: PathKey, build: Callable[[], Entry]
+    ) -> Tuple[Entry, bool]:
+        """``(entry, built)``: the fresh entry under ``key``, made by
+        ``build()`` and stored on a miss; ``built`` says whether this
+        call ran ``build``.
+
+        Concurrent misses of one key single-flight: the first caller
+        builds while the others wait for that build to end and then
+        look again.  A waiter whose leading caller raised finds no
+        entry and builds itself, so no caller inherits another
+        caller's deadline or fault.  A build may wait only on keys below its own (a form
+        on its halves' ``PM`` keys; ``PM``, count and walk builds wait
+        on nothing), so waits cannot cycle.  The lock is held only
+        around dict reads and writes, never across a build.
+
+        The stored entry is tagged from the versions read before
+        ``build`` started: the graph publishes edge data before bumping
+        versions, so data can only be *newer* than its tag (rebuilt on
+        the next lookup), never older.  A caller under a truncating
+        scope reads a fresh entry, but otherwise builds its own without
+        storing it, leading or joining a build.
+        """
+        exact = not truncating()
+        while True:
+            signature = self._signature(key)
+            with self._lock:
+                entry = self._fresh(key, signature)
+                if entry is not None:
+                    return entry, False
+                if not exact:
+                    break
+                flight = self._inflight.get(key)
+                if flight is None:
+                    flight = self._inflight[key] = threading.Event()
+                    break
+            flight.wait()
+        if not exact:
+            return build(), True
+        try:
+            entry = build()
+            self.store(key, entry, signature)
+        finally:
+            with self._lock:
+                del self._inflight[key]
+            flight.set()
+        return entry, True
+
+    def _counted(self, key: PathKey, build: Callable[[], Entry]) -> Entry:
+        """:meth:`get_or_build`, counted as a hit or a miss."""
+        entry, built = self.get_or_build(key, build)
+        (self._misses if built else self._hits).inc()
         return entry
 
     def reach_prob(self, path: MetaPath) -> sparse.csr_matrix:
@@ -207,15 +280,14 @@ class PathMatrixCache:
 
         Hits are served from the store; a miss is materialised by
         :func:`~repro.core.backend.materialise`, which reads and stores
-        this cache's prefixes and stores the matrix itself (unless the
-        ambient scope truncates).  Entries stale under the per-relation
-        mutation signature are recomputed transparently (and only
-        those: materialisations of untouched relations survive graph
-        mutations)."""
-        cached = self._counted_lookup(_key(path))
-        if cached is not None:
-            return cached
-        return materialise(self.graph, path, cache=self)
+        this cache's prefixes (unless the ambient scope truncates).
+        Entries stale under the per-relation mutation signature are
+        recomputed transparently (and only those: materialisations of
+        untouched relations survive graph mutations)."""
+        return self._counted(
+            path_key(path),
+            lambda: materialise(self.graph, path, cache=self),
+        )
 
     def path_counts(
         self, path: MetaPath
@@ -232,100 +304,48 @@ class PathMatrixCache:
         matrix; the count chain itself is materialised without the
         cache, which keeps its mirrored-half reuse for symmetric paths.
         """
-        names = _key(path)
-        key = (COUNT_NAMESPACE,) + names
-        cached = self._counted_lookup(key)
-        if cached is not None:
-            return cached
-        # Tagged from versions read before the first factor is built
-        # (see store()).
-        signature = self.graph.relations_signature(names)
-        matrix = materialise(self.graph, path, weights="adjacency")
-        entry = (matrix, matrix.diagonal())
-        if not truncating():
-            self.store(key, entry, signature)
-        return entry
+
+        def build():
+            matrix = materialise(self.graph, path, weights="adjacency")
+            return matrix, matrix.diagonal()
+
+        return self._counted((COUNT_NAMESPACE,) + path_key(path), build)
 
     # ------------------------------------------------------------------
     # storage and eviction
     # ------------------------------------------------------------------
     def store(
-        self,
-        key: PathKey,
-        entry: Entry,
-        signature: Tuple[int, ...],
-        release: Optional[Callable[[], None]] = None,
-    ) -> bool:
+        self, key: PathKey, entry: Entry, signature: Tuple[int, ...]
+    ) -> None:
         """Store ``entry`` as most recently used, then evict to the
         budget.  An entry larger than the whole budget is not stored
-        (it would evict everything, itself included); returns whether
-        it was.
+        (it would evict everything, itself included).
 
         ``signature`` holds ``key``'s relation versions as read before
-        the entry's first factor was built.  The graph publishes edge
-        data before bumping versions, so data can only be *newer* than
-        the tag -- a lookup under a newer signature then recomputes --
-        never older, which would serve stale matrices as fresh forever.
+        the entry's first factor was built (see :meth:`get_or_build`).
         :func:`~repro.core.backend.materialise` stores the prefixes it
         forms through here.
         """
-        if self.byte_budget is not None and _nbytes(entry) > self.byte_budget:
-            return False
-        with self._lock:
-            self._matrices.pop(key, None)
-            self._matrices[key] = entry
-            self._signatures[key] = signature
-            if release is None:
-                self._releases.pop(key, None)
-            else:
-                self._releases[key] = release
-            self._enforce_budget()
-            self._sync_gauges()
-        return True
-
-    def hold(
-        self,
-        key: PathKey,
-        entry: tuple,
-        signature: Tuple[int, ...],
-        release: Callable[[], None],
-    ) -> bool:
-        """Account an entry owned elsewhere under this cache's budget.
-
-        ``key`` must carry a ``#``-prefixed namespace token, so it never
-        collides with a path matrix's key.  The entry joins the LRU
-        order like any stored matrix; when eviction drops it,
-        ``release`` is called (under the cache lock) so the owner drops
-        its reference too.  Returns False, holding nothing, when the
-        entry alone exceeds the budget.
-        """
-        return self.store(key, entry, signature, release)
-
-    def touch(self, key: PathKey) -> None:
-        """Mark a held entry most recently used (no-op once evicted)."""
-        with self._lock:
-            if key in self._matrices:
-                self._touch(key)
-
-    def _enforce_budget(self) -> None:
-        """Evict least-recently-used entries until the budget holds."""
-        if self.byte_budget is None:
+        size = _nbytes(entry)
+        if self.byte_budget is not None and size > self.byte_budget:
             return
-        while self._matrices and self.nbytes > self.byte_budget:
-            oldest = next(iter(self._matrices))
-            del self._matrices[oldest]
-            del self._signatures[oldest]
-            release = self._releases.pop(oldest, None)
-            if release is not None:
-                release()
-            self._evictions.inc()
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._bytes -= old[2]
+            self._entries[key] = (signature, entry, size)
+            self._bytes += size
+            budget = self.byte_budget
+            while budget is not None and self._bytes > budget:
+                oldest = next(iter(self._entries))
+                self._bytes -= self._entries.pop(oldest)[2]
+                self._evictions.inc()
+            self._sync_gauges()
 
     def _sync_gauges(self) -> None:
         """Refresh the entry/byte level gauges (call under the lock)."""
-        self._entries_gauge.set(len(self._matrices))
-        self._bytes_gauge.set(
-            sum(_nbytes(entry) for entry in self._matrices.values())
-        )
+        self._entries_gauge.set(len(self._entries))
+        self._bytes_gauge.set(self._bytes)
 
     def put(self, path: MetaPath, matrix: sparse.spmatrix) -> None:
         """Manually store a matrix for a path (e.g. loaded from disk).
@@ -334,29 +354,24 @@ class PathMatrixCache:
         versions; it is the caller's responsibility that the matrix
         matches the current graph.
         """
-        key = _key(path)
-        self.store(
-            key,
-            sparse.csr_matrix(matrix),
-            self.graph.relations_signature(key),
-        )
+        key = path_key(path)
+        self.store(key, sparse.csr_matrix(matrix), self._signature(key))
 
-    def contains(self, path: MetaPath) -> bool:
-        """True when a *fresh* ``PM_path`` is materialised."""
-        key = _key(path)
+    def contains(self, path: Union[MetaPath, PathKey]) -> bool:
+        """True when a *fresh* entry is stored for ``path`` (a meta
+        path's ``PM``, or any key); does not mark it used."""
+        key = path if isinstance(path, tuple) else path_key(path)
+        signature = self._signature(key)
         with self._lock:
-            return key in self._matrices and self._fresh(key)
+            held = self._entries.get(key)
+        return held is not None and held[0] == signature
 
     def clear(self) -> None:
-        """Drop all cached matrices (call after mutating the graph).
-
-        Held entries are forgotten without calling their ``release``:
-        an owner clearing the cache clears its own references.
-        """
+        """Drop every entry and reset the counters.  Builds in flight
+        finish and store as usual."""
         with self._lock:
-            self._matrices.clear()
-            self._signatures.clear()
-            self._releases.clear()
+            self._entries.clear()
+            self._bytes = 0
             self._hits.reset()
             self._misses.reset()
             self._evictions.reset()
@@ -382,21 +397,20 @@ class PathMatrixCache:
 
     @property
     def num_cached(self) -> int:
-        """Number of entries held, scoring forms held for an owner
+        """Number of entries held, forms and the walk operator
         included."""
-        return len(self._matrices)
+        return len(self._entries)
 
     @property
     def nbytes(self) -> int:
-        """Approximate memory held by the cached matrices (bytes).
+        """Approximate memory held by the entries (bytes).
 
         Counts the CSR data, index and indptr arrays (and the dense
-        vectors stored beside them) of every entry, held ones included
-        -- the §4.6 space-vs-time trade made inspectable (and, with a
-        budget, enforced).
+        vectors stored beside them) of every entry -- the §4.6
+        space-vs-time trade made inspectable (and, with a budget,
+        enforced).
         """
-        with self._lock:
-            return sum(_nbytes(entry) for entry in self._matrices.values())
+        return self._bytes
 
     def stats(self) -> CacheStats:
         """Snapshot of counters and volume."""

@@ -1,23 +1,22 @@
 """High-level query engine: HeteSim with materialised half matrices.
 
 :class:`HeteSimEngine` is the recommended entry point for repeated queries
-over one network.  It keeps
+over one network.  It keeps one
+:class:`~repro.core.cache.PathMatrixCache` that holds
 
-* a :class:`~repro.core.cache.PathMatrixCache` of reachable-probability
-  matrices (shared across paths with common prefixes), and
+* reachable-probability matrices (shared across paths with common
+  prefixes), and
 * per path, the *scoring form* of its half matrices
   (:func:`~repro.core.hetesim.scoring_form`: unit-norm halves, the
-  right one transposed, and their row norms), accounted under the
-  cache's byte budget,
+  right one transposed, and their row norms),
 
-so that after the first query on a path, scoring a block of sources is
-one sparse product -- exactly the off-line / on-line split Section 4.6
-describes.
+under one byte budget, so that after the first query on a path,
+scoring a block of sources is one sparse product -- exactly the
+off-line / on-line split Section 4.6 describes.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -28,17 +27,11 @@ from ..hin.graph import HeteroGraph
 from ..hin.metapath import MetaPath, PathSpec
 from ..obs.metrics import REGISTRY, instance_label
 from ..obs.trace import span as trace_span
-from .backend import truncating
-from .cache import CacheStats, PathMatrixCache
+from .cache import FORM_NAMESPACE, CacheStats, PathKey, PathMatrixCache, path_key
 from .hetesim import Halves, scoring_form
 from .measures import MeasureContext, get_measure
 
 __all__ = ["HeteSimEngine"]
-
-_HalfKey = Tuple[str, ...]
-
-#: Namespace token of the memo's entries in the cache's LRU order.
-HALVES_NAMESPACE = "#halves"
 
 
 class HeteSimEngine:
@@ -72,21 +65,6 @@ class HeteSimEngine:
     ) -> None:
         self.graph = graph
         self.cache = PathMatrixCache(graph, byte_budget=byte_budget)
-        # One atomic entry per key: ``(signature, form)``.  The
-        # signature and the result it belongs to must live in a single
-        # dict value -- a reader doing one ``get`` can then never pair a
-        # stale tuple with a fresh signature, which two side-by-side
-        # dicts allowed whenever a materialisation landed between the
-        # two unlocked reads.  Every entry is also held by the cache,
-        # whose LRU eviction removes it again (``_forget``).
-        self._halves: Dict[_HalfKey, Tuple[Tuple[int, ...], Halves]] = {}
-        # Single-flight materialisation: one lock per half key, so two
-        # in-flight queries for the same path share one materialisation
-        # (the second blocks, then hits the memo) while distinct paths
-        # materialise concurrently (repro.serve's dispatcher relies on
-        # this).
-        self._half_locks: Dict[_HalfKey, threading.Lock] = {}
-        self._locks_guard = threading.Lock()
         self.obs_label = instance_label("e")
         self._materialisations = REGISTRY.counter(
             "repro_halves_materialisations_total",
@@ -98,8 +76,8 @@ class HeteSimEngine:
         ).labels(engine=self.obs_label)
         #: The engine-backed :class:`~repro.core.measures.MeasureContext`:
         #: measure plugins resolved against it share this engine's
-        #: half-matrix memo and path-matrix cache, and the engine's own
-        #: queries score through it.
+        #: cache (scoring forms, path matrices, the walk operator), and
+        #: the engine's own queries score through it.
         self.measures = MeasureContext(engine=self)
 
     # ------------------------------------------------------------------
@@ -113,110 +91,44 @@ class HeteSimEngine:
     # materialisation
     # ------------------------------------------------------------------
     def halves(self, path: MetaPath) -> Halves:
-        """The path's scoring form, memoised.
+        """The path's scoring form, memoised in the cache.
 
         ``(left, right, left_norms, right_norms)``: ``PM_PL`` with
         unit-norm rows, ``PM_{PR^-1}`` with unit-norm rows and stored
         transposed (both CSR), and the two halves' original row norms
         -- see :func:`~repro.core.hetesim.scoring_form`.  Built once
-        per path, under the path's single-flight lock, and never
-        changed once memoised.
+        per path and never changed once stored.
 
-        The memo shares the engine's byte budget with the path-matrix
-        cache: entries are evicted least-recently-used along with the
-        cached matrices, and a form larger than the whole budget is
-        returned but not memoised.  Staleness is tracked per relation:
-        mutating one relation only invalidates the forms of paths that
-        traverse it.
+        The form is a :class:`~repro.core.cache.PathMatrixCache` entry
+        (:data:`~repro.core.cache.FORM_NAMESPACE`): it shares the
+        engine's byte budget and LRU order with the path matrices, a
+        form larger than the whole budget is returned but not stored,
+        and mutating one relation only invalidates the forms of paths
+        that traverse it.  Concurrent calls for one path share one
+        build; calls for distinct paths build in parallel
+        (:meth:`~repro.core.cache.PathMatrixCache.get_or_build`).
 
-        Thread-safe with single-flight deduplication: concurrent calls
-        for the same path share one materialisation (later callers
-        block briefly, then return the memoised tuple), and calls for
-        distinct paths proceed in parallel.  The lock-free fast path is
-        sound because the memo holds ``(signature, result)`` as one
-        value: the single ``dict.get`` is atomic under the GIL, so the
-        signature checked always belongs to the tuple returned.
-
-        Halves computed while the ambient execution scope truncates
+        Forms computed while the ambient execution scope truncates
         (``truncate_eps > 0``, a degraded rung) are returned but never
-        memoised, so they cannot be served to a later exact query.
+        stored, so they cannot be served to a later exact query.
         """
-        key = tuple(relation.name for relation in path.relations)
-        signature = self.graph.relations_signature(key)
-        entry = self._halves.get(key)
-        if entry is not None and entry[0] == signature:
-            return self._memo_hit(key, entry)
-        with self._key_lock(key):
-            entry = self._halves.get(key)
-            if entry is not None and entry[0] == signature:
-                return self._memo_hit(key, entry)
-            return self._materialise_halves(path, key, signature)
+        form, built = self.cache.get_or_build(
+            (FORM_NAMESPACE,) + path_key(path), lambda: self._form(path)
+        )
+        (self._materialisations if built else self._memo_hits).inc()
+        return form
 
-    def _key_lock(self, key: _HalfKey) -> threading.Lock:
-        """The single-flight lock of one path; every memo write for the
-        path happens under it."""
-        with self._locks_guard:
-            return self._half_locks.setdefault(key, threading.Lock())
-
-    def _memo_hit(self, key: _HalfKey, entry) -> Halves:
-        self._memo_hits.inc()
-        if self.cache.byte_budget is not None:
-            self.cache.touch((HALVES_NAMESPACE,) + key)
-        return entry[1]
-
-    def _materialise_halves(
-        self,
-        path: MetaPath,
-        key: _HalfKey,
-        signature: Tuple[int, ...],
-    ) -> Halves:
+    def _form(self, path: MetaPath) -> Halves:
         with trace_span(
             "engine.materialise_halves",
             path=path.code(),
             engine=self.obs_label,
         ):
-            result = scoring_form(self.graph, path, cache=self.cache)
-        self._materialisations.inc()
-        self._memoise(key, signature, result)
-        return result
-
-    def _memoise(
-        self, key: _HalfKey, signature: Tuple[int, ...], form: Halves
-    ) -> None:
-        """Memoise ``form``, held under the cache's byte budget (call
-        under the path's key lock).
-
-        Forms built while the ambient execution scope truncates are
-        never memoised, and a form the budget cannot hold is dropped
-        again at once.
-        """
-        if truncating():
-            return
-        entry = (signature, form)
-        with self._locks_guard:
-            self._halves[key] = entry
-        if not self.cache.hold(
-            (HALVES_NAMESPACE,) + key,
-            form,
-            signature,
-            lambda: self._forget(key, entry),
-        ):
-            self._forget(key, entry)
-
-    def _forget(self, key: _HalfKey, entry) -> None:
-        """Drop ``entry`` from the memo unless a newer one replaced it."""
-        with self._locks_guard:
-            if self._halves.get(key) is entry:
-                del self._halves[key]
+            return scoring_form(self.graph, path, cache=self.cache)
 
     def has_halves(self, path: MetaPath) -> bool:
-        """True when fresh half matrices for ``path`` are memoised."""
-        key = tuple(relation.name for relation in path.relations)
-        entry = self._halves.get(key)
-        return (
-            entry is not None
-            and entry[0] == self.graph.relations_signature(key)
-        )
+        """True when a fresh scoring form for ``path`` is stored."""
+        return self.cache.contains((FORM_NAMESPACE,) + path_key(path))
 
     @property
     def materialisation_count(self) -> int:
@@ -257,12 +169,10 @@ class HeteSimEngine:
         from ..serve.dispatch import Dispatcher, WarmReport
 
         started = time.perf_counter()
-        distinct: Dict[_HalfKey, MetaPath] = {}
+        distinct: Dict[PathKey, MetaPath] = {}
         for spec in paths:
             meta = self.path(spec)
-            distinct.setdefault(
-                tuple(r.name for r in meta.relations), meta
-            )
+            distinct.setdefault(path_key(meta), meta)
         with trace_span(
             "engine.warm",
             paths=len(distinct),
@@ -274,7 +184,7 @@ class HeteSimEngine:
         persisted: List[str] = []
         skipped: List[str] = []
         if store is not None:
-            half_paths: Dict[_HalfKey, MetaPath] = {}
+            half_paths: Dict[PathKey, MetaPath] = {}
             for meta in distinct.values():
                 split = meta.halves()
                 if split.needs_edge_object:
@@ -284,9 +194,7 @@ class HeteSimEngine:
                     pieces.append(split.right.reverse())
                 for piece in pieces:
                     if piece is not None:
-                        half_paths.setdefault(
-                            tuple(r.name for r in piece.relations), piece
-                        )
+                        half_paths.setdefault(path_key(piece), piece)
             store.save(
                 self.graph, list(half_paths.values()), cache=self.cache
             )
@@ -331,8 +239,6 @@ class HeteSimEngine:
         through the graph's mutation counters -- but reclaims memory.
         """
         self.cache.clear()
-        with self._locks_guard:
-            self._halves.clear()
 
     # ------------------------------------------------------------------
     # cache introspection

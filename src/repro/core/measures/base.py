@@ -8,10 +8,11 @@ ReachProb, PPR, Combined) is a plugin over the *same* planned compute
 layer:
 
 * :class:`MeasureContext` hands each plugin the shared services --
-  half-matrix materialisation (through the engine memo when one is
-  attached), the :class:`~repro.core.cache.PathMatrixCache` (``PM``
-  and adjacency-count entries under one byte budget), and a memoised
-  global restart-walk operator for the path-blind baselines;
+  half-matrix materialisation (through the engine when one is
+  attached), and the :class:`~repro.core.cache.PathMatrixCache` that
+  memoises ``PM`` and adjacency-count entries, scoring forms and the
+  global restart-walk operator of the path-blind baselines under one
+  byte budget;
 * materialisation runs through :func:`repro.core.backend.materialise`,
   so :class:`~repro.runtime.limits.ExecutionLimits` and the
   ``repro_plan_executions_total`` metrics apply to every measure;
@@ -27,7 +28,6 @@ key)`` before any matrix work happens.
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -40,7 +40,7 @@ from ...hin.graph import HeteroGraph
 from ...hin.metapath import MetaPath, PathSpec
 from ...obs.metrics import REGISTRY
 from ..backend import materialise
-from ..cache import PathMatrixCache
+from ..cache import WALK_NAMESPACE, PathMatrixCache
 from ..hetesim import Halves, scoring_form
 from ..search import select_top_k
 
@@ -130,10 +130,6 @@ class MeasureContext:
         self.graph = graph
         self.cache = cache
         self.engine = engine
-        self._lock = threading.Lock()
-        # One memoised (signature, (index, walk)) entry per walk
-        # direction; rebuilt whenever any relation's version moves.
-        self._walks: Dict[bool, Tuple[tuple, tuple]] = {}
 
     def path(self, spec: PathSpec) -> MetaPath:
         """Parse any accepted path specification against the schema."""
@@ -152,9 +148,9 @@ class MeasureContext:
         """The scoring form of ``path``
         (:func:`~repro.core.hetesim.scoring_form`).
 
-        Served from the engine's single-flight memo when an engine is
-        attached (one materialisation per path per batch, shared across
-        measures); computed through the cache otherwise.
+        Served from the engine's cache when an engine is attached (one
+        materialisation per path, shared across measures); computed
+        through the cache's path matrices otherwise.
         """
         if self.engine is not None:
             return self.engine.halves(path)
@@ -184,31 +180,28 @@ class MeasureContext:
         return matrix, matrix.diagonal()
 
     def global_walk(self, undirected: bool = True):
-        """``(GlobalIndex, row-normalised walk matrix)``, memoised.
+        """``(GlobalIndex, row-normalised walk matrix)``.
 
         The flattened, type-blind operator Personalized PageRank steps
-        on; memoised per graph mutation signature so a batch of PPR
-        queries builds it once.
+        on, memoised in the cache when one is attached (until any
+        relation changes), so a batch of PPR queries builds it once.
         """
-        signature = tuple(
-            self.graph.relation_version(relation.name)
-            for relation in self.graph.schema.relations
-        )
-        with self._lock:
-            entry = self._walks.get(undirected)
-            if entry is not None and entry[0] == signature:
-                return entry[1]
-        from ...baselines.globalgraph import build_global_index
-        from ...hin.matrices import row_normalize
 
-        index = build_global_index(self.graph)
-        adjacency = index.adjacency
-        if undirected:
-            adjacency = (adjacency + adjacency.T).tocsr()
-        walk = row_normalize(adjacency)
-        with self._lock:
-            self._walks[undirected] = (signature, (index, walk))
-        return index, walk
+        def build():
+            from ...baselines.globalgraph import build_global_index
+            from ...hin.matrices import row_normalize
+
+            index = build_global_index(self.graph)
+            adjacency = index.adjacency
+            if undirected:
+                adjacency = (adjacency + adjacency.T).tocsr()
+            return index, row_normalize(adjacency)
+
+        if self.cache is None:
+            return build()
+        token = f"{WALK_NAMESPACE}:{'undirected' if undirected else 'directed'}"
+        names = tuple(relation.name for relation in self.graph.schema.relations)
+        return self.cache.get_or_build((token,) + names, build)[0]
 
     @classmethod
     def of(cls, source) -> "MeasureContext":

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List
 
 from .registry import ExperimentResult, get_experiment
 
-__all__ = ["generate_report"]
+__all__ = ["TIMED_SECTION", "generate_report", "render_report"]
 
 
 def _fmt(value: float, digits: int = 3) -> str:
@@ -208,13 +208,17 @@ def _robustness(result: ExperimentResult) -> List[str]:
 
 
 def _citations(result: ExperimentResult) -> List[str]:
+    # A bound, not the residual itself: its last bits move with the
+    # order of floating-point sums, the claim does not.
+    error = result.data["symmetry_error"]
+    within = "to within 1e-15" if error < 1e-15 else f"to {error:.1e}"
     return [
         "**Paper (beyond):** the real ACM data carries paper-to-paper"
         " citations the paper never exploits; path semantics should"
         " extend to them, with HeteSim's symmetry linking the two"
         " citation directions.",
         f"**Measured:** HeteSim(a, b | citing) equals HeteSim(b, a |"
-        f" cited-by) to {result.data['symmetry_error']:.1e}; the"
+        f" cited-by) {within}; the"
         f" citation top-8 shares {result.data['overlap_with_copub']}"
         " authors with the co-publication top-8 -- related but distinct"
         " semantics, exactly the path-dependence thesis.",
@@ -269,12 +273,28 @@ one.  Full rendered tables for each experiment:
 """
 
 
-def generate_report(seed: int = 0) -> str:
-    """Run all experiments and return the EXPERIMENTS.md content."""
+#: The section whose measured line reports wall-clock timings, which
+#: differ run to run.
+TIMED_SECTION = "complexity"
+
+
+def render_report(results: Dict[str, ExperimentResult], seed: int) -> str:
+    """The EXPERIMENTS.md content for experiment results by id."""
     parts = [_HEADER.format(seed=seed)]
     for experiment_id, renderer in _SECTIONS.items():
-        result = get_experiment(experiment_id)(seed=seed)
+        result = results[experiment_id]
         parts.append(f"## {result.title}\n")
         parts.append("\n\n".join(renderer(result)))
         parts.append("")
     return "\n".join(parts)
+
+
+def generate_report(seed: int = 0) -> str:
+    """Run all experiments and return the EXPERIMENTS.md content."""
+    return render_report(
+        {
+            experiment_id: get_experiment(experiment_id)(seed=seed)
+            for experiment_id in _SECTIONS
+        },
+        seed,
+    )

@@ -325,19 +325,22 @@ class HeteroGraph:
     def relation_version(self, relation_name: str) -> int:
         """Mutation counter of one relation (inverse names resolve to the
         forward relation).  Bumped by edge insertions into the relation
-        and node insertions into either endpoint type."""
-        relation = self.schema.relation(relation_name)
-        name = relation.name
-        if name not in self._relation_versions:
-            name = relation.inverse().name
-        return self._relation_versions[name]
+        and node insertions into either endpoint type.
+
+        Resolved with dict reads only: every freshness check of a
+        cached matrix pays this once per relation of its path."""
+        versions = self._relation_versions
+        version = versions.get(relation_name)
+        if version is None and relation_name.endswith("^-1"):
+            version = versions.get(relation_name[: -len("^-1")])
+        if version is None:
+            raise SchemaError(f"unknown relation {relation_name!r}")
+        return version
 
     def relations_signature(self, relation_names) -> tuple:
         """Tuple of :meth:`relation_version` values, for cache staleness
         checks over a whole path."""
-        return tuple(
-            self.relation_version(name) for name in relation_names
-        )
+        return tuple(map(self.relation_version, relation_names))
 
     # ------------------------------------------------------------------
     # adjacency

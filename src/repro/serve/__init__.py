@@ -9,10 +9,10 @@ fast under *many-query* load:
   once, score every source of a group with a single block sparse GEMM,
   and select each query's top-k without sorting the target axis
   (:mod:`repro.serve.batch`);
-* :class:`Dispatcher` / :class:`SingleFlight` -- thread-pool execution
-  of independent materialisations with ambient execution-context
-  propagation (limits and fault plans keep applying inside workers) and
-  in-flight deduplication (:mod:`repro.serve.dispatch`);
+* :class:`Dispatcher` -- thread-pool execution of independent
+  materialisations with ambient execution-context propagation (limits
+  and fault plans keep applying inside workers;
+  :mod:`repro.serve.dispatch`);
 * :class:`WarmReport` / :meth:`HeteSimEngine.warm
   <repro.core.engine.HeteSimEngine.warm>` -- the off-line stage as an
   API: pre-materialise half matrices and persist them through
@@ -49,7 +49,7 @@ from .batch import (
     QueryServer,
     serve_batch,
 )
-from .dispatch import Dispatcher, SingleFlight, WarmReport
+from .dispatch import Dispatcher, WarmReport
 from .http import HttpRequest, HttpResponse, HttpServer
 from .procs import usable_cpus
 
@@ -66,7 +66,6 @@ __all__ = [
     "Query",
     "QueryResult",
     "QueryServer",
-    "SingleFlight",
     "Tenant",
     "TokenBucket",
     "WarmReport",

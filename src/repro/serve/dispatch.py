@@ -1,25 +1,19 @@
 """Concurrent materialisation dispatch for the serving layer.
 
-Two primitives:
-
-* :class:`Dispatcher` -- a thin :class:`~concurrent.futures.ThreadPoolExecutor`
-  front that runs independent tasks (per-path half materialisation,
-  per-group batch scoring) in parallel while **propagating the ambient
-  execution context** into every worker.  :mod:`contextvars` values do
-  not cross thread boundaries, so without the propagation a deadline or
-  fault plan installed by :func:`~repro.runtime.limits.execution_scope`
-  in the submitting thread would silently stop applying inside the
-  pool; the dispatcher captures :func:`~repro.runtime.limits.current_context`
-  at submit time and wraps each task in
-  :func:`~repro.runtime.limits.adopt_context`, so the *same* tracker
-  (shared deadline, cumulative budgets) and the same
-  :class:`~repro.runtime.faults.FaultPlan` counters keep firing.
-
-* :class:`SingleFlight` -- generic in-flight deduplication by key:
-  concurrent calls for one key share a single computation (the first
-  caller computes, the rest wait on its future).  The engine's
-  per-path-key half memoisation uses the same discipline internally;
-  this class is for callers composing their own keyed work.
+:class:`Dispatcher` is a thin :class:`~concurrent.futures.ThreadPoolExecutor`
+front that runs independent tasks (per-path half materialisation,
+per-group batch scoring) in parallel while **propagating the ambient
+execution context** into every worker.  :mod:`contextvars` values do
+not cross thread boundaries, so without the propagation a deadline or
+fault plan installed by :func:`~repro.runtime.limits.execution_scope`
+in the submitting thread would silently stop applying inside the
+pool; the dispatcher captures :func:`~repro.runtime.limits.current_context`
+at submit time and wraps each task in
+:func:`~repro.runtime.limits.adopt_context`, so the *same* tracker
+(shared deadline, cumulative budgets) and the same
+:class:`~repro.runtime.faults.FaultPlan` counters keep firing.
+Concurrent tasks that need one path share its build through
+:meth:`~repro.core.cache.PathMatrixCache.get_or_build`.
 
 Threads (not processes) are the right pool here: scipy releases the
 GIL inside sparse matrix products, which is where batch serving spends
@@ -28,26 +22,15 @@ its time.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
 from ..hin.errors import QueryError
 from ..obs.trace import adopt_span, current_span
 from ..runtime.limits import adopt_context, current_context
 
-__all__ = ["Dispatcher", "SingleFlight", "WarmReport"]
+__all__ = ["Dispatcher", "WarmReport"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -91,69 +74,6 @@ class Dispatcher:
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             futures = [pool.submit(run, item) for item in items]
             return [future.result() for future in futures]
-
-
-class SingleFlight:
-    """Deduplicate concurrent computations by key.
-
-    :meth:`do` runs ``fn`` for a key at most once among concurrent
-    callers: the first caller computes while the rest block on the
-    shared future and receive the same result (or the same exception).
-    Once no call is in flight the key computes fresh again -- this is
-    in-flight deduplication, not a cache.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._inflight: Dict[Hashable, Future] = {}
-
-    def do(
-        self,
-        key: Hashable,
-        fn: Callable[[], R],
-        timeout: Optional[float] = None,
-    ) -> R:
-        """Return ``fn()``, shared with concurrent callers of ``key``.
-
-        ``timeout`` (seconds) bounds how long a follower waits on the
-        leader's future.  A leader that dies without resolving its
-        future -- a thread killed mid-``fn``, an interpreter-level
-        error between registration and ``set_result`` -- would
-        otherwise park every follower forever.  On timeout the stale
-        future is evicted (only if it is still the registered one:
-        a *resolved-and-replaced* future must not evict its
-        successor) and the caller re-enters the election, becoming
-        the new leader or following a fresh one.  ``None`` preserves
-        the original wait-forever behaviour.
-        """
-        while True:
-            with self._lock:
-                future = self._inflight.get(key)
-                if future is None:
-                    future = Future()
-                    self._inflight[key] = future
-                    owner = True
-                else:
-                    owner = False
-            if not owner:
-                try:
-                    return future.result(timeout)
-                except FutureTimeout:
-                    with self._lock:
-                        if self._inflight.get(key) is future:
-                            self._inflight.pop(key, None)
-                    continue
-            try:
-                result = fn()
-            except BaseException as exc:  # propagate to every waiter
-                future.set_exception(exc)
-                raise
-            else:
-                future.set_result(result)
-                return result
-            finally:
-                with self._lock:
-                    self._inflight.pop(key, None)
 
 
 @dataclass(frozen=True)

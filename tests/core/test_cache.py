@@ -1,10 +1,14 @@
 """Unit tests for the path-matrix materialisation cache."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.cache import PathMatrixCache
 from repro.hin.matrices import reachable_probability_matrix
+from repro.runtime.limits import execution_scope
 
 
 class TestPathMatrixCache:
@@ -263,3 +267,218 @@ class TestMidPlanMutation:
         # The mutation really changed the matrix, so serving the first
         # result again would have been a stale answer.
         assert np.abs(first.toarray() - fresh.toarray()).max() > 1e-12
+
+
+class _Watched(dict):
+    """In-flight map that counts the callers finding a build already in
+    flight, i.e. becoming that build's waiters, and sets ``joined`` at
+    the first."""
+
+    def __init__(self):
+        super().__init__()
+        self.joined = threading.Event()
+        self.waiters = 0
+
+    def get(self, key, default=None):
+        flight = super().get(key, default)
+        if flight is not None:
+            self.waiters += 1
+            self.joined.set()
+        return flight
+
+
+def _run(target, *args):
+    thread = threading.Thread(target=target, args=args)
+    thread.start()
+    return thread
+
+
+class TestGetOrBuild:
+    """One get-or-build for every entry: concurrent misses of one key
+    share a build, distinct keys build in parallel, and no caller
+    inherits another caller's failure."""
+
+    KEY = ("#test", "writes")
+    OTHER = ("#test", "published_in")
+
+    def test_hit_after_build(self, fig4):
+        cache = PathMatrixCache(fig4)
+        entry, built = cache.get_or_build(self.KEY, lambda: np.ones(3))
+        again, rebuilt = cache.get_or_build(self.KEY, lambda: np.zeros(3))
+        assert built and not rebuilt and again is entry
+        assert cache.nbytes == entry.nbytes
+        # Form and walk lookups count no cache hit or miss.
+        assert (cache.hits, cache.misses) == (0, 0)
+        fig4.add_edge("writes", "Tom", "p3")
+        assert cache.get_or_build(self.KEY, lambda: np.zeros(3))[1]
+
+    def test_concurrent_misses_share_one_build(self, fig4):
+        cache = PathMatrixCache(fig4)
+        cache._inflight = _Watched()
+        leading, release = threading.Event(), threading.Event()
+        builds = []
+        results = []
+
+        def build():
+            builds.append(1)
+            leading.set()
+            assert release.wait(10)
+            return np.ones(3)
+
+        def call():
+            results.append(cache.get_or_build(self.KEY, build))
+
+        leader = _run(call)
+        assert leading.wait(10)
+        followers = [_run(call) for _ in range(3)]
+        deadline = time.monotonic() + 10
+        while cache._inflight.waiters < 3 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        release.set()
+        for thread in [leader, *followers]:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert len(builds) == 1 and cache._inflight.waiters == 3
+        assert sorted(built for _, built in results) == [False] * 3 + [True]
+        assert all(entry is results[0][0] for entry, _ in results)
+        assert cache._inflight == {}
+
+    def test_distinct_keys_build_concurrently(self, fig4):
+        """Each build waits for the other to start: both must be in
+        flight at once, which also proves that no build holds the
+        cache lock (the other could not register its flight)."""
+        cache = PathMatrixCache(fig4)
+        started = {self.KEY: threading.Event(), self.OTHER: threading.Event()}
+        overlapped = []
+
+        def call(key, other):
+            def build():
+                started[key].set()
+                overlapped.append(started[other].wait(10))
+                return np.ones(2)
+
+            cache.get_or_build(key, build)
+
+        threads = [
+            _run(call, self.KEY, self.OTHER),
+            _run(call, self.OTHER, self.KEY),
+        ]
+        for thread in threads:
+            thread.join(20)
+            assert not thread.is_alive()
+        assert overlapped == [True, True]
+        assert cache.num_cached == 2 and cache._inflight == {}
+
+    def test_waiter_builds_itself_when_the_leader_fails(self, fig4):
+        cache = PathMatrixCache(fig4)
+        cache._inflight = _Watched()
+        leading = threading.Event()
+        failures = []
+        results = []
+
+        def failing():
+            leading.set()
+            assert cache._inflight.joined.wait(10)
+            raise RuntimeError("leader fault")
+
+        def lead():
+            try:
+                cache.get_or_build(self.KEY, failing)
+            except RuntimeError as exc:
+                failures.append(exc)
+
+        leader = _run(lead)
+        assert leading.wait(10)
+        follower = _run(
+            lambda: results.append(
+                cache.get_or_build(self.KEY, lambda: np.ones(2))
+            )
+        )
+        for thread in (leader, follower):
+            thread.join(10)
+            assert not thread.is_alive()
+        assert len(failures) == 1
+        (entry, built), = results
+        assert built and (entry == 1).all()
+        assert cache.contains(self.KEY) and cache._inflight == {}
+
+    def test_inflight_map_empties_after_a_raising_build(self, fig4):
+        cache = PathMatrixCache(fig4)
+
+        def failing():
+            raise RuntimeError("build fault")
+
+        with pytest.raises(RuntimeError):
+            cache.get_or_build(self.KEY, failing)
+        assert cache._inflight == {} and cache.num_cached == 0
+
+    def test_truncating_caller_neither_joins_nor_stores(self, fig4):
+        """Under a truncating scope a caller builds its own entry while
+        an exact build of the key is still in flight, stores nothing,
+        and afterwards reads the exact entry."""
+        cache = PathMatrixCache(fig4)
+        started, release = threading.Event(), threading.Event()
+
+        def exact():
+            started.set()
+            assert release.wait(10)
+            return np.ones(2)
+
+        leader = _run(cache.get_or_build, self.KEY, exact)
+        assert started.wait(10)
+        with execution_scope(truncate_eps=0.5):
+            entry, built = cache.get_or_build(self.KEY, lambda: np.zeros(2))
+        assert built and (entry == 0).all() and not release.is_set()
+        release.set()
+        leader.join(10)
+        assert not leader.is_alive()
+        with execution_scope(truncate_eps=0.5):
+            entry, built = cache.get_or_build(self.KEY, lambda: np.zeros(2))
+        assert not built and (entry == 1).all()
+
+
+class TestLeaderFailure:
+    def test_waiter_without_limits_gets_the_exact_form(self, fig4):
+        """The first caller of a cold path trips an injected fault in
+        its build while a second caller, with no limits, waits on that
+        build: the second caller must get the exact form, built
+        itself, not the first caller's error."""
+        from repro.core.engine import HeteSimEngine
+        from repro.hin.errors import InjectedFaultError
+
+        engine = HeteSimEngine(fig4)
+        path = engine.path("APCPA")
+        cache = engine.cache
+        cache._inflight = _Watched()
+        outcomes = {}
+
+        class FailOnceJoined:
+            def fire(self, site):
+                assert cache._inflight.joined.wait(10)
+                raise InjectedFaultError(site, 0)
+
+        def leader():
+            try:
+                with execution_scope(faults=FailOnceJoined()):
+                    engine.halves(path)
+            except InjectedFaultError as exc:
+                outcomes["leader"] = exc
+
+        def follower():
+            deadline = time.monotonic() + 10
+            while not cache._inflight and time.monotonic() < deadline:
+                time.sleep(0.001)
+            outcomes["follower"] = engine.halves(path)
+
+        threads = [_run(leader), _run(follower)]
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+
+        assert isinstance(outcomes["leader"], InjectedFaultError)
+        left, right, left_norms, right_norms = outcomes["follower"]
+        exact = HeteSimEngine(fig4).halves(path)
+        assert (left != exact[0]).nnz == 0 and (right != exact[1]).nnz == 0
+        assert np.array_equal(left_norms, exact[2])
+        assert np.array_equal(right_norms, exact[3])
+        assert engine.has_halves(path) and cache._inflight == {}

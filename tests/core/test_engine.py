@@ -196,7 +196,7 @@ class TestMutationSafety:
 
 
 class TestMemoByteBudget:
-    """The halves memo shares the engine's byte budget with the cache."""
+    """Scoring forms share the engine's byte budget with the cache."""
 
     BUDGET = 1 << 20
     #: What the engine holds besides matrix data: its locks, counters,
@@ -267,17 +267,17 @@ class TestMemoByteBudget:
         assert engine.cache.evictions == 0
 
 
-class _RacyHalves(dict):
-    """Half-memo dict that re-enacts the stale-read interleaving.
+class _RacyEntries(dict):
+    """Cache entry dict that re-enacts the stale-read interleaving.
 
-    The first ``get`` captures whatever is memoised, lets a *fresh*
-    materialisation land (by calling ``engine.halves`` inline, exactly
-    what a concurrent warmer would do between a reader's memo lookup
-    and its freshness check), then hands the reader the captured stale
-    value.  With the signature stored beside the result in one entry
-    the reader rejects the stale value; with the signature in a second
-    dict the reader pairs it with the freshly written signature and
-    serves pre-mutation matrices.
+    The first ``get`` that finds an entry captures it, lets a *fresh*
+    build land (by calling ``engine.halves`` inline, exactly what a
+    concurrent warmer would do between a reader's lookup and its
+    freshness check), then hands the reader the captured stale value.
+    With the signature stored beside the form in one entry the reader
+    rejects the stale value; with the signature in a second dict the
+    reader would pair it with the freshly written signature and serve
+    pre-mutation matrices.
     """
 
     def __init__(self, engine, path, mapping):
@@ -299,8 +299,9 @@ class TestStaleHalvesRace:
         engine = HeteSimEngine(fig4)
         path = engine.path("APC")
         engine.halves(path)  # memoise at the pre-mutation signature
-        fig4.add_edge("writes", "Tom", "p3")  # invalidates the memo
-        engine._halves = _RacyHalves(engine, path, engine._halves)
+        fig4.add_edge("writes", "Tom", "p3")  # invalidates the form
+        cache = engine.cache
+        cache._entries = _RacyEntries(engine, path, cache._entries)
 
         left, _, _, _ = engine.halves(path)
 

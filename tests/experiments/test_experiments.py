@@ -302,3 +302,27 @@ class TestMeasuresShape:
 
     def test_hetesim_overlap_is_reference(self, results):
         assert results["measures"].data["overlaps"]["hetesim"] == 10
+
+
+class TestReportIsCurrent:
+    def test_every_non_timing_line_matches_experiments_md(self, results):
+        """EXPERIMENTS.md is what the report generator renders from
+        these (seed 0) results, except the measured line of the timed
+        section."""
+        from pathlib import Path
+
+        from repro.experiments.report import TIMED_SECTION, render_report
+
+        committed = (
+            Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
+        ).read_text(encoding="utf-8").splitlines()
+        rendered = render_report(results, seed=0).splitlines()
+        assert len(rendered) == len(committed)
+        timed_header = f"## {results[TIMED_SECTION].title}"
+        section = None
+        for number, (new, old) in enumerate(zip(rendered, committed), 1):
+            if new.startswith("## "):
+                section = new
+            if section == timed_header and new.startswith("**Measured"):
+                continue
+            assert new == old, f"EXPERIMENTS.md line {number} is stale"

@@ -207,6 +207,39 @@ class TestSummary:
         assert "3 edges" in text
 
 
+class TestRelationVersions:
+    def test_inverse_name_reports_the_forward_version(self, graph):
+        """A forward name and its inverse are one relation: they report
+        the same version after edge insertions under either name and
+        after node insertions into either endpoint type."""
+
+        def same():
+            assert graph.relation_version("writes^-1") == (
+                graph.relation_version("writes")
+            )
+            return graph.relation_version("writes")
+
+        versions = [same()]
+        graph.add_edge("writes", "carol", "p3")
+        versions.append(same())
+        graph.add_edge("writes^-1", "p1", "bob")
+        versions.append(same())
+        graph.add_node("author", "dave")
+        versions.append(same())
+        graph.add_node("paper", "p9")
+        versions.append(same())
+        assert versions == sorted(set(versions))
+        assert graph.relations_signature(["writes", "writes^-1"]) == (
+            versions[-1],
+            versions[-1],
+        )
+
+    @pytest.mark.parametrize("name", ["cites", "cites^-1", "writes^-1^-1"])
+    def test_unknown_name_raises_schema_error(self, graph, name):
+        with pytest.raises(SchemaError):
+            graph.relation_version(name)
+
+
 class TestConcurrentMutation:
     def test_concurrent_add_edge_never_loses_version_bumps(self, schema):
         """Version counters are read-modify-write: without the mutation

@@ -85,10 +85,15 @@ class TestMeasureContext:
         assert engine.measures is engine.measures
 
     def test_global_walk_memoised_until_mutation(self, fig4):
-        ctx = MeasureContext(graph=fig4)
+        """The walk operator is a cache entry: memoised per direction
+        and accounted under the cache's byte volume."""
+        ctx = MeasureContext(graph=fig4, cache=PathMatrixCache(fig4))
         index_a, walk_a = ctx.global_walk()
         index_b, walk_b = ctx.global_walk()
         assert index_a is index_b and walk_a is walk_b
+        assert ctx.global_walk(undirected=False)[1] is not walk_a
+        assert ctx.cache.num_cached == 2
+        assert ctx.cache.nbytes >= walk_a.data.nbytes
         fig4.add_edge("writes", "Tom", "p1")
         index_c, _ = ctx.global_walk()
         assert index_c is not index_a

@@ -1,9 +1,10 @@
-"""Dispatcher and SingleFlight unit tests.
+"""Dispatcher unit tests.
 
 The properties the batch layer builds on: ordered results, ambient
-execution-context propagation into worker threads, exception
-propagation, and one-computation-per-key under concurrency.  Also the
-host CPU count that worker counts are compared against.
+execution-context propagation into worker threads, and exception
+propagation.  Also the host CPU count that worker counts are compared
+against.  One build per key under concurrency is the cache's job
+(``tests/core/test_cache.py::TestGetOrBuild``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pytest
 
 from repro.hin.errors import QueryError
 from repro.runtime.limits import current_context, execution_scope
-from repro.serve import Dispatcher, SingleFlight, usable_cpus
+from repro.serve import Dispatcher, usable_cpus
 
 
 def test_usable_cpus_positive():
@@ -65,141 +66,3 @@ class TestDispatcher:
 
         with pytest.raises(ValueError, match="boom"):
             Dispatcher(4).map(task, range(8))
-
-
-class TestSingleFlight:
-    def test_sequential_calls_compute_each_time(self):
-        flight = SingleFlight()
-        calls = []
-        for _ in range(3):
-            flight.do("key", lambda: calls.append(1))
-        assert len(calls) == 3
-
-    def test_concurrent_calls_share_one_computation(self):
-        flight = SingleFlight()
-        calls = []
-        release = threading.Event()
-        started = threading.Event()
-
-        def slow():
-            calls.append(1)
-            started.set()
-            release.wait(timeout=5)
-            return "value"
-
-        results = {}
-
-        def leader():
-            results["leader"] = flight.do("key", slow)
-
-        def follower():
-            started.wait(timeout=5)
-            results["follower"] = flight.do(
-                "key", lambda: pytest.fail("follower computed")
-            )
-
-        threads = [
-            threading.Thread(target=leader),
-            threading.Thread(target=follower),
-        ]
-        for thread in threads:
-            thread.start()
-        started.wait(timeout=5)
-        # Give the follower a moment to block on the in-flight future.
-        import time
-
-        time.sleep(0.05)
-        release.set()
-        for thread in threads:
-            thread.join(timeout=5)
-        assert calls == [1]
-        assert results["leader"] == results["follower"] == "value"
-
-    def test_exception_shared_with_waiters(self):
-        flight = SingleFlight()
-
-        def failing():
-            raise RuntimeError("shared failure")
-
-        with pytest.raises(RuntimeError, match="shared failure"):
-            flight.do("key", failing)
-        # The key is released: a later call computes fresh.
-        assert flight.do("key", lambda: 42) == 42
-
-    def test_distinct_keys_do_not_block(self):
-        flight = SingleFlight()
-        assert flight.do("a", lambda: 1) == 1
-        assert flight.do("b", lambda: 2) == 2
-
-
-class TestSingleFlightTimeout:
-    """Regression: a leader that dies without resolving its future must
-    not park followers forever -- a bounded wait re-elects a leader."""
-
-    def test_follower_reelects_after_dead_leader(self):
-        flight = SingleFlight()
-        from concurrent.futures import Future
-
-        stale = Future()  # a leader registered this, then died
-        with flight._lock:
-            flight._inflight["key"] = stale
-        assert flight.do("key", lambda: "fresh", timeout=0.05) == "fresh"
-        # The stale future was evicted; the key is free again.
-        assert "key" not in flight._inflight
-
-    def test_timeout_unused_when_leader_resolves_in_time(self):
-        flight = SingleFlight()
-        started = threading.Event()
-        release = threading.Event()
-        results = {}
-
-        def slow():
-            started.set()
-            release.wait(timeout=5)
-            return "value"
-
-        leader = threading.Thread(
-            target=lambda: results.update(leader=flight.do("key", slow))
-        )
-        leader.start()
-        started.wait(timeout=5)
-        follower = threading.Thread(
-            target=lambda: results.update(
-                follower=flight.do(
-                    "key",
-                    lambda: pytest.fail("follower computed"),
-                    timeout=5.0,
-                )
-            )
-        )
-        follower.start()
-        release.set()
-        leader.join(timeout=5)
-        follower.join(timeout=5)
-        assert results == {"leader": "value", "follower": "value"}
-
-    def test_timeout_does_not_evict_a_successor(self):
-        flight = SingleFlight()
-        from concurrent.futures import Future
-
-        stale = Future()
-        with flight._lock:
-            flight._inflight["key"] = stale
-
-        follower_done = threading.Event()
-        results = {}
-
-        def follower():
-            results["value"] = flight.do(
-                "key", lambda: "reelected", timeout=0.05
-            )
-            follower_done.set()
-
-        thread = threading.Thread(target=follower)
-        thread.start()
-        follower_done.wait(timeout=5)
-        thread.join(timeout=5)
-        assert results["value"] == "reelected"
-        # Resolving the stale future later is harmless.
-        stale.set_result("late")
-        assert flight.do("key", lambda: "next") == "next"

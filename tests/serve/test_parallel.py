@@ -14,7 +14,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.engine import HALVES_NAMESPACE, HeteSimEngine
+from repro.core.cache import _nbytes
+from repro.core.engine import HeteSimEngine
 from repro.datasets.random_hin import make_random_hin
 from repro.hin.errors import (
     DeadlineExceededError,
@@ -304,14 +305,6 @@ class TestSingleFlightHalves:
     def test_concurrent_same_path_materialises_once(self, hin):
         engine = HeteSimEngine(hin)
         path = engine.path("APCPA")
-        calls = []
-        original = engine._materialise_halves
-
-        def counting(meta, key, signature):
-            calls.append(key)
-            return original(meta, key, signature)
-
-        engine._materialise_halves = counting
         barrier = threading.Barrier(4)
         results = [None] * 4
 
@@ -327,7 +320,7 @@ class TestSingleFlightHalves:
             thread.start()
         for thread in threads:
             thread.join()
-        assert len(calls) == 1
+        assert engine.materialisation_count == 1
         assert all(result is results[0] for result in results)
 
     def test_distinct_paths_not_serialised_by_memo(self, hin):
@@ -360,15 +353,87 @@ class TestSingleFlightHalves:
             )
 
 
+class TestOneBuildPerKey:
+    """Threads racing on one cold path build each derived matrix once,
+    whichever entry point they come through: the cache single-flights
+    ``PM`` matrices, path counts, scoring forms and the walk operator
+    alike."""
+
+    THREADS = 4
+
+    def _race(self, call):
+        barrier = threading.Barrier(self.THREADS)
+        results = [None] * self.THREADS
+        failures = []
+
+        def worker(slot):
+            try:
+                barrier.wait()
+                results[slot] = call()
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(slot,))
+                for slot in range(self.THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert all(result is results[0] for result in results)
+
+    def test_reach_prob(self, hin):
+        engine = HeteSimEngine(hin)
+        path = engine.path("APCPA")
+        self._race(lambda: engine.cache.reach_prob(path))
+        assert engine.cache.misses == 1
+        assert engine.cache.hits == self.THREADS - 1
+
+    def test_path_counts(self, hin):
+        engine = HeteSimEngine(hin)
+        path = engine.path("APCPA")
+        self._race(lambda: engine.cache.path_counts(path)[0])
+        assert engine.cache.misses == 1
+
+    def test_engine_halves(self, hin):
+        engine = HeteSimEngine(hin)
+        path = engine.path("APCPA")
+        self._race(lambda: engine.halves(path))
+        assert engine.materialisation_count == 1
+
+    def test_global_walk(self, hin, monkeypatch):
+        from repro.baselines import globalgraph
+
+        builds = []
+        original = globalgraph.build_global_index
+
+        def counting(graph):
+            builds.append(1)
+            return original(graph)
+
+        monkeypatch.setattr(globalgraph, "build_global_index", counting)
+        engine = HeteSimEngine(hin)
+        self._race(lambda: engine.measures.global_walk()[1])
+        assert len(builds) == 1
+
+
 class TestBudgetedMemoStress:
     SPECS = ("APC", "APCPA", "CPAPC", "APCP", "APA", "APAPC", "CPA")
 
     def test_concurrent_flood_keeps_every_form_accounted(self, hin):
         """8 threads (more than the cores) flood a budgeted engine with
         distinct paths while a short switch interval makes them
-        interleave inside memo writes and evictions.  A lost update
-        would leave a memoised form the cache no longer accounts for;
-        afterwards every memo entry must still be held by the cache,
+        interleave inside stores and evictions.  A lost update would
+        leave the cache's byte total out of step with what it holds;
+        afterwards the total must equal the bytes of the held entries,
         the cache must be within budget, and every answer must equal
         an unbudgeted engine's."""
 
@@ -418,5 +483,5 @@ class TestBudgetedMemoStress:
             assert ranking == expected[spec], spec
         assert engine.cache.evictions > 0
         assert engine.cache.nbytes <= budget
-        for key in list(engine._halves):
-            assert (HALVES_NAMESPACE,) + key in engine.cache._matrices
+        held = list(engine.cache._entries.values())
+        assert engine.cache.nbytes == sum(_nbytes(entry) for _, entry, _ in held)
