@@ -1,12 +1,11 @@
 """The lint driver: discover files, parse each once, run the rule pack.
 
 :func:`run_lint` is what the CLI (``hetesim lint``), CI and the
-self-audit test call.  Parsing fans out over a thread pool (the only
-genuinely parallel part -- rules themselves run sequentially so they
-may keep per-project state without locking); every file is parsed
-exactly once and the same :class:`~repro.analysis.core.SourceFile` is
-handed to every rule.  After the per-file pass, the successfully
-parsed set is wrapped in one
+self-audit test call.  Every file is parsed exactly once, in order on
+the calling thread (concurrent ``ast.parse`` calls can fail on CPython
+3.11, and a parse pool measured slower than parsing in order), and the
+same :class:`~repro.analysis.core.SourceFile` is handed to every rule.
+After the per-file pass, the successfully parsed set is wrapped in one
 :class:`~repro.analysis.project.ProjectContext` and every rule's
 :meth:`~repro.analysis.core.Rule.check_project` runs once over it --
 the project pass behind RPR012-RPR014.  Files that fail to parse are
@@ -20,11 +19,9 @@ disable a check.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Collection, Iterable, List, Optional, Sequence, Union
 
 from ..hin.errors import AnalysisError
 from .baseline import Baseline, Suppression
@@ -79,7 +76,6 @@ def run_lint(
     root: Optional[Union[str, Path]] = None,
     rules: Optional[Sequence[Rule]] = None,
     baseline: Optional[Baseline] = None,
-    jobs: int = 0,
     select: Optional[Collection[str]] = None,
     ignore: Collection[str] = (),
 ) -> LintResult:
@@ -88,8 +84,7 @@ def run_lint(
     ``root`` anchors the relative paths findings (and baseline entries)
     carry; it defaults to the current working directory.  ``rules``
     defaults to the registered pack
-    (:func:`~repro.analysis.core.default_rules`); ``jobs`` bounds the
-    parse fan-out (``0`` = one thread per core, capped at 8).
+    (:func:`~repro.analysis.core.default_rules`).
 
     ``select`` (when given) keeps only the named rule ids; ``ignore``
     drops the named ids afterwards.  Both accept ``RPR000`` to control
@@ -101,17 +96,11 @@ def run_lint(
     active = _filter_rules(active, select, ignore)
     report_syntax = _syntax_rule_active(select, ignore)
     files = iter_python_files(paths)
-    if jobs <= 0:
-        jobs = min(8, os.cpu_count() or 1)
-
-    parsed: List[Tuple[Path, Union[SourceFile, Finding]]] = [
-        (path, outcome)
-        for path, outcome in zip(files, _parse_all(files, root_dir, jobs))
-    ]
 
     findings: List[Finding] = []
     sources: List[SourceFile] = []
-    for _, outcome in parsed:
+    for path in files:
+        outcome = _parse_one(path, root_dir)
         if isinstance(outcome, Finding):
             if report_syntax:
                 findings.append(outcome)
@@ -175,16 +164,6 @@ def _syntax_rule_active(
     if select is not None and SYNTAX_RULE not in select:
         return False
     return True
-
-
-def _parse_all(
-    files: Sequence[Path], root_dir: Path, jobs: int
-) -> List[Union[SourceFile, Finding]]:
-    """Parse every file (possibly in parallel), preserving order."""
-    if jobs == 1 or len(files) <= 1:
-        return [_parse_one(path, root_dir) for path in files]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda path: _parse_one(path, root_dir), files))
 
 
 def _parse_one(path: Path, root_dir: Path) -> Union[SourceFile, Finding]:

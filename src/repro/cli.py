@@ -68,9 +68,11 @@ import sys
 from typing import List, Optional
 
 from .core.engine import HeteSimEngine
+from .core.measures import get_measure
 from .hin.errors import ReproError
 from .hin.io import load_graph
 from .hin.validation import graph_report
+from .runtime.limits import execution_scope
 
 __all__ = ["main"]
 
@@ -442,12 +444,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(every generated entry still needs a real justification)",
     )
     lint.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="parse worker threads (0 = auto)",
-    )
-    lint.add_argument(
         "--select",
         default=None,
         help="comma-separated rule ids to run exclusively "
@@ -520,7 +516,6 @@ def _run_lint(args: argparse.Namespace) -> int:
         args.paths,
         root=root,
         baseline=baseline,
-        jobs=args.jobs,
         select=select,
         ignore=ignore,
     )
@@ -792,84 +787,51 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     engine = HeteSimEngine(graph)
 
-    if args.command == "query" and args.measure != "hetesim":
-        from .core.measures import get_measure
-
-        measure = get_measure(args.measure)
-        kind = "raw" if args.raw else "normalized"
+    # HeteSim answers through the ladder: without limits its exact rung
+    # gives the same bits as engine.relevance / engine.top_k.  Other
+    # measures run limits in fail mode; without limits the scope is a
+    # no-op.
+    if args.command == "query":
         limits = _limits_from(args)
-        if limits is not None:
-            from .runtime.limits import execution_scope
-
-            with execution_scope(tracker=limits.tracker()):
-                score = measure.pair(
+        if args.measure == "hetesim":
+            result = engine.runtime(
+                limits=limits, on_limit=args.on_limit
+            ).relevance(
+                args.source, args.target, args.path, normalized=not args.raw
+            )
+            if result.degraded:
+                print(result.summary(), file=sys.stderr)
+            name, score = "HeteSim", result.value
+        else:
+            tracker = limits.tracker() if limits is not None else None
+            with execution_scope(tracker=tracker):
+                score = get_measure(args.measure).pair(
                     engine.measures, args.path, args.source,
                     args.target, normalized=not args.raw,
                 )
-        else:
-            score = measure.pair(
-                engine.measures, args.path, args.source, args.target,
-                normalized=not args.raw,
-            )
-        print(
-            f"{args.measure}({args.source}, {args.target} | "
-            f"{args.path}) [{kind}] = {score:.6f}"
-        )
-        return 0
-
-    if args.command == "topk" and args.measure != "hetesim":
-        from .core.measures import get_measure
-
-        measure = get_measure(args.measure)
-        limits = _limits_from(args)
-        if limits is not None:
-            from .runtime.limits import execution_scope
-
-            with execution_scope(tracker=limits.tracker()):
-                ranking = measure.top_k(
-                    engine.measures, args.path, args.source, k=args.k
-                )
-        else:
-            ranking = measure.top_k(
-                engine.measures, args.path, args.source, k=args.k
-            )
-        for rank, (key, score) in enumerate(ranking, start=1):
-            print(f"{rank:3d}  {key}  {score:.6f}")
-        return 0
-
-    if args.command == "query":
-        limits = _limits_from(args)
+            name = args.measure
         kind = "raw" if args.raw else "normalized"
-        if limits is not None:
-            runtime = engine.runtime(limits=limits, on_limit=args.on_limit)
-            result = runtime.relevance(
-                args.source, args.target, args.path,
-                normalized=not args.raw,
-            )
-            score = result.value
-            if result.degraded:
-                print(result.summary(), file=sys.stderr)
-        else:
-            score = engine.relevance(
-                args.source, args.target, args.path,
-                normalized=not args.raw,
-            )
         print(
-            f"HeteSim({args.source}, {args.target} | {args.path}) "
+            f"{name}({args.source}, {args.target} | {args.path}) "
             f"[{kind}] = {score:.6f}"
         )
         return 0
 
     if args.command == "topk":
         limits = _limits_from(args)
-        if limits is not None:
-            runtime = engine.runtime(limits=limits, on_limit=args.on_limit)
-            result = runtime.top_k(args.source, args.path, k=args.k)
-            ranking = result.value
+        if args.measure == "hetesim":
+            result = engine.runtime(
+                limits=limits, on_limit=args.on_limit
+            ).top_k(args.source, args.path, k=args.k)
             if result.degraded:
                 print(result.summary(), file=sys.stderr)
+            ranking = result.value
         else:
-            ranking = engine.top_k(args.source, args.path, k=args.k)
+            tracker = limits.tracker() if limits is not None else None
+            with execution_scope(tracker=tracker):
+                ranking = get_measure(args.measure).top_k(
+                    engine.measures, args.path, args.source, k=args.k
+                )
         for rank, (key, score) in enumerate(ranking, start=1):
             print(f"{rank:3d}  {key}  {score:.6f}")
         return 0

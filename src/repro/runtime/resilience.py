@@ -60,6 +60,7 @@ __all__ = [
     "Attempt",
     "DegradedResult",
     "DEFAULT_POLICY",
+    "TRUNCATE_FINAL_EPS",
     "ResilientRuntime",
 ]
 
@@ -91,6 +92,10 @@ class Strategy:
             )
 
 
+#: Entry truncation of the unenforced ``truncate-final`` floor; the
+#: HTTP ``/batch`` last-resort retry runs under the same value.
+TRUNCATE_FINAL_EPS = 1e-4
+
 #: The default ladder: exact, then §4.6-style truncation, pruning and
 #: low-rank approximation, with an unenforced truncation floor so a
 #: degraded query always produces an answer.
@@ -99,7 +104,9 @@ DEFAULT_POLICY: Tuple[Strategy, ...] = (
     Strategy("truncate", truncate_eps=1e-8),
     Strategy("prune", truncate_eps=1e-4, prune_mass=1e-3),
     Strategy("lowrank", kind="lowrank", truncate_eps=1e-4, enforced=False),
-    Strategy("truncate-final", truncate_eps=1e-4, enforced=False),
+    Strategy(
+        "truncate-final", truncate_eps=TRUNCATE_FINAL_EPS, enforced=False
+    ),
 )
 
 

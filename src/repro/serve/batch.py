@@ -14,9 +14,15 @@ should answer it; the server answers them by
    shared :class:`~repro.core.measures.base.MeasureContext` -- for
    HeteSim (and every HeteSim component of a ``combined`` query) that
    is the engine's single-flight half-matrix memo, so a mixed batch
-   materialises each path's halves once -- concurrently across groups
-   when ``workers > 1`` (scipy releases the GIL inside sparse
-   products);
+   materialises each path's halves once.  With ``workers > 1`` the
+   groups are prepared and scored on a thread pool; that pays only
+   when groups must materialise.  Scoring a warm group is short scipy
+   calls that hold the GIL between them: on the 2-CPU seed-1 relbench
+   reference graph a warm 64-query batch-score batch took a median
+   8.12 ms at ``workers=2`` against 3.88 ms at ``workers=1`` (6
+   interleaved rounds), and only a cold 256-query mix gained (72.3 vs
+   88.8 ms, 8 rounds), with identical rankings (ROADMAP.md, "Workers
+   parallelise materialisation, not scoring");
 3. **scoring** all of a group's distinct sources with a single block
    pass (:meth:`~repro.core.measures.base.PreparedMeasure.score_rows`:
    one sparse GEMM plus vectorised normalisation for HeteSim) -- one
@@ -121,10 +127,13 @@ class BatchRequest:
     :class:`BatchResult` rather than raising, so callers that build
     batches from filtered inputs need no special casing.
 
-    ``workers`` bounds the pool that materialises (and scores)
-    distinct groups in parallel; ``workers=1`` runs everything
-    sequentially in the calling thread and is the reference semantics
-    -- parallel runs return identical results.
+    ``workers`` bounds the pool that materialises and scores distinct
+    groups in parallel; ``workers=1`` runs everything sequentially in
+    the calling thread and is the reference semantics -- parallel runs
+    return identical results.  The pool speeds up cold batches only:
+    warm groups hold the GIL between short scipy calls, so a warm
+    batch runs slower at ``workers=2`` than at ``workers=1`` (see the
+    module docstring).
     """
 
     queries: Tuple[Query, ...]

@@ -23,10 +23,16 @@ framework, no event-loop dependency beyond :mod:`asyncio`):
   (:class:`~repro.runtime.resilience.ResilientRuntime`); batch runs
   exact under the tenant tracker and, on a
   :class:`~repro.hin.errors.ResourceLimitError`, retries once under
-  the unenforced truncation floor.  Degraded answers carry provenance
-  headers (``X-Repro-Strategy``, ``X-Repro-Tripped``,
-  ``X-Repro-Degraded``) so clients can tell an approximate 200 from an
-  exact one.
+  the ladder's unenforced ``truncate-final`` truncation.  Degraded
+  answers carry provenance headers (``X-Repro-Strategy``,
+  ``X-Repro-Tripped``, ``X-Repro-Degraded``) so clients can tell an
+  approximate 200 from an exact one.
+* **Hostile heads close** -- a head the server will not read gets a
+  typed answer with ``Connection: close``, then the connection closes,
+  so unread bytes never parse as a request (400 malformed request or
+  header line or non-decimal ``Content-Length``; 413 body over 4 MiB;
+  431 line over 16 KiB or over 100 header lines; 501
+  ``Transfer-Encoding``).
 * **Graceful drain** -- :meth:`HttpServer.stop` (and the CLI's
   SIGTERM handler) stops accepting connections, lets in-flight
   requests finish within a grace period, then closes the loop.  While
@@ -47,30 +53,17 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Awaitable,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.engine import HeteSimEngine
 from ..hin.errors import (
     GraphError,
     PathError,
     QueryError,
-    ReproError,
     ResourceLimitError,
     SchemaError,
 )
-from ..obs.export import (
-    PROMETHEUS_CONTENT_TYPE,
-    prometheus_text,
-    render_json,
-)
+from ..obs.export import PROMETHEUS_CONTENT_TYPE, prometheus_text, render_json
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span as trace_span
 from ..runtime.limits import (
@@ -79,22 +72,15 @@ from ..runtime.limits import (
     current_context,
     execution_scope,
 )
+from ..runtime.resilience import TRUNCATE_FINAL_EPS, DegradedResult, ResilientRuntime
 from .admission import Admission, AdmissionController, Tenant
-from .batch import BatchRequest, BatchResult, Query, QueryServer
+from .batch import BatchRequest, Query, QueryServer
 
-__all__ = [
-    "HttpRequest",
-    "HttpResponse",
-    "HttpServer",
-]
-
-#: Truncation floor used for the batch endpoint's last-resort retry
-#: after the exact attempt trips a tenant limit (mirrors the
-#: degradation ladder's ``truncate-final`` rung).
-FLOOR_EPS = 1e-4
+__all__ = ["HttpRequest", "HttpResponse", "HttpServer"]
 
 _MAX_BODY_BYTES = 4 * 1024 * 1024
 _MAX_LINE_BYTES = 16 * 1024
+_MAX_HEADER_LINES = 100
 
 _REASONS = {
     200: "OK",
@@ -104,7 +90,9 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
 }
 
@@ -134,7 +122,6 @@ class _HttpError(Exception):
     ) -> None:
         super().__init__(message)
         self.status = status
-        self.message = message
         self.headers = headers
         self.error = error
 
@@ -185,8 +172,56 @@ def _json_response(
     return HttpResponse(status=status, body=body, headers=headers)
 
 
-def _error_payload(error: str, detail: str) -> Dict[str, Any]:
-    return {"error": error, "detail": detail}
+def _error_response(exc: Exception) -> HttpResponse:
+    """The one map from an exception to its HTTP answer: typed statuses
+    for :class:`_HttpError` and the library's typed errors, and a 500
+    safety net for anything else, so a request is never dropped."""
+    headers: Tuple[Tuple[str, str], ...] = ()
+    if isinstance(exc, _HttpError):
+        status, error, headers = exc.status, exc.error, exc.headers
+    elif isinstance(exc, ResourceLimitError):
+        status, error = 503, "resource_limit"
+        headers = (("Retry-After", "1"), ("X-Repro-Tripped", exc.limit))
+    elif isinstance(
+        exc, (QueryError, PathError, GraphError, SchemaError)
+    ):
+        status, error = 400, type(exc).__name__
+    else:
+        status, error = 500, type(exc).__name__
+    return _json_response(
+        status, {"error": error, "detail": str(exc)}, headers=headers
+    )
+
+
+def _shed(admission: Admission) -> _HttpError:
+    """The refusal for a request admission control turned away."""
+    if admission.reason == "rate":
+        retry = max(admission.retry_after, 0.001)
+        return _HttpError(
+            429,
+            "token bucket empty",
+            (("Retry-After", f"{retry:.3f}"),),
+            "rate_limited",
+        )
+    if admission.reason == "draining":
+        return _HttpError(
+            503, "server is draining", (("Retry-After", "1"),), "draining"
+        )
+    return _HttpError(
+        503, "admission queue full", (("Retry-After", "1"),), "overloaded"
+    )
+
+
+async def _head_line(reader: asyncio.StreamReader) -> bytes:
+    """One head line; a line over the stream limit is a 431."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _HttpError(
+            431,
+            f"head line over {_MAX_LINE_BYTES} bytes",
+            error="headers_too_large",
+        ) from None
 
 
 def _require_str(payload: Dict[str, Any], key: str) -> str:
@@ -216,17 +251,28 @@ def _optional_bool(
     return value
 
 
-def _provenance_headers(
-    strategy: str, degraded: bool, tripped: Optional[str]
-) -> Tuple[Tuple[str, str], ...]:
-    """The degradation provenance carried on every answered query."""
+def _provenance_response(
+    body: Dict[str, Any],
+    strategy: str,
+    degraded: bool,
+    tripped: Optional[str],
+) -> HttpResponse:
+    """A scoring answer carrying its degradation provenance.
+
+    The strategy, degraded flag and tripped limit go into ``body`` and
+    into headers; a degraded answer counts in
+    ``repro_http_degraded_total``.
+    """
+    if degraded:
+        _DEGRADED.labels(strategy=strategy).inc()
     headers: List[Tuple[str, str]] = [
         ("X-Repro-Strategy", strategy),
         ("X-Repro-Degraded", "true" if degraded else "false"),
     ]
     if tripped:
         headers.append(("X-Repro-Tripped", tripped))
-    return tuple(headers)
+    body.update(strategy=strategy, degraded=degraded, tripped=tripped)
+    return _json_response(200, body, headers=tuple(headers))
 
 
 class HttpServer:
@@ -290,13 +336,26 @@ class HttpServer:
         self.faults = faults
         self.drain_grace_s = drain_grace_s
 
+        # path -> (method, handler, offloaded).  A GET handler takes no
+        # arguments and runs on the loop thread unless offloaded; every
+        # POST is admitted first, and its handler takes (tenant, JSON
+        # body) and runs in the worker pool.
+        self._routes: Dict[
+            str, Tuple[str, Callable[..., HttpResponse], bool]
+        ] = {
+            "/healthz": ("GET", self._handle_healthz, False),
+            "/metrics": ("GET", self._handle_metrics, False),
+            "/metrics/json": ("GET", self._handle_metrics_json, False),
+            "/doctor": ("GET", self._handle_doctor, True),
+            "/query": ("POST", self._handle_query, True),
+            "/topk": ("POST", self._handle_topk, True),
+            "/batch": ("POST", self._handle_batch, True),
+            "/warm": ("POST", self._handle_warm, True),
+        }
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._offload: Optional[
-            Callable[[Callable[[], HttpResponse]], Awaitable[HttpResponse]]
-        ] = None
         self._writers: "set[asyncio.StreamWriter]" = set()
         self._inflight = 0
         self._draining = False
@@ -332,26 +391,6 @@ class HttpServer:
         if self._loop is not None:
             raise QueryError("server already started")
         loop = asyncio.new_event_loop()
-        pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-http"
-        )
-
-        # Every task submitted to the pool adopts the submitter's
-        # ambient ExecutionContext, so limit scopes installed around
-        # start()/test harnesses propagate into worker threads.
-        def offload(
-            handler: Callable[[], HttpResponse],
-        ) -> Awaitable[HttpResponse]:
-            context = current_context()
-
-            def task() -> HttpResponse:
-                with adopt_context(context):
-                    return handler()
-
-            return loop.run_in_executor(pool, task)
-
-        self._pool = pool
-        self._offload = offload
         self._loop = loop
         self._thread = threading.Thread(
             target=loop.run_forever, name="repro-http-loop", daemon=True
@@ -393,7 +432,6 @@ class HttpServer:
         self._thread = None
         self._server = None
         self._pool = None
-        self._offload = None
         self._port = None
 
     async def _shutdown(self, drain: bool) -> None:
@@ -431,31 +469,28 @@ class HttpServer:
     ) -> None:
         self._writers.add(writer)
         try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                close = (
-                    request.header("connection").lower() == "close"
-                    or self._draining
-                )
-                self._inflight += 1
+            close = False
+            while not close:
+                # Until a whole head is read, an answer closes the
+                # connection: bytes the server did not read must never
+                # parse as the next request.
+                close, endpoint = True, "unknown"
                 started = time.perf_counter()
                 try:
-                    endpoint, response = await self._respond(request)
-                except _HttpError as exc:
-                    endpoint, response = "unknown", _json_response(
-                        exc.status,
-                        _error_payload(exc.error, exc.message),
-                        headers=exc.headers,
+                    request = await self._read_request(reader)
+                    if request is None:
+                        break
+                    started = time.perf_counter()
+                    close = self._draining or (
+                        request.header("connection").lower() == "close"
                     )
-                except Exception as exc:  # safety net: answer, never drop
-                    endpoint, response = "unknown", _json_response(
-                        500,
-                        _error_payload(type(exc).__name__, str(exc)),
-                    )
-                finally:
-                    self._inflight -= 1
+                    if request.path in self._routes:
+                        endpoint = request.path.lstrip("/")
+                    response = await self._respond(request, endpoint)
+                except (ConnectionError, asyncio.IncompleteReadError):
+                    break
+                except Exception as exc:  # answer, never drop
+                    response = _error_response(exc)
                 _REQUESTS.labels(
                     endpoint=endpoint, status=str(response.status)
                 ).inc()
@@ -464,9 +499,7 @@ class HttpServer:
                 )
                 writer.write(response.encode(close))
                 await writer.drain()
-                if close:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
+        except ConnectionError:
             pass
         finally:
             self._writers.discard(writer)
@@ -475,100 +508,100 @@ class HttpServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[HttpRequest]:
-        try:
-            line = await reader.readline()
-        except (ValueError, asyncio.LimitOverrunError):
-            return None
+        """Read one request; None when the client closed between them.
+
+        Raises :class:`_HttpError` for a head or body the server will
+        not read.  Lines may end in CRLF or a bare LF.
+        """
+        line = await _head_line(reader)
         if not line:
             return None
-        parts = line.decode("latin-1").strip().split()
+        parts = line.decode("latin-1").split()
         if len(parts) != 3:
-            return None
+            raise _HttpError(400, "malformed request line")
         method, target, _version = parts
         headers: Dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
+        for _ in range(_MAX_HEADER_LINES + 1):
+            raw = await _head_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
-            text = raw.decode("latin-1").strip()
-            name, _, value = text.partition(":")
+            name, colon, value = raw.decode("latin-1").partition(":")
+            if not colon:
+                raise _HttpError(400, "header line without a colon")
             headers[name.strip().lower()] = value.strip()
-        length_text = headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError:
-            length = -1
-        if length < 0 or length > _MAX_BODY_BYTES:
-            return HttpRequest(
-                method=method,
-                path="\x00payload-too-large",
-                headers=headers,
-                body=b"",
+        else:
+            raise _HttpError(
+                431,
+                f"more than {_MAX_HEADER_LINES} header lines",
+                error="headers_too_large",
             )
-        body = await reader.readexactly(length) if length else b""
-        path = target.split("?", 1)[0]
+        if "transfer-encoding" in headers:
+            raise _HttpError(
+                501,
+                "Transfer-Encoding is not supported; send Content-Length",
+                error="not_implemented",
+            )
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            raise _HttpError(400, "Content-Length must be a decimal integer")
+        if int(length) > _MAX_BODY_BYTES:
+            raise _HttpError(413, "body too large", error="payload_too_large")
+        body = await reader.readexactly(int(length))
         return HttpRequest(
-            method=method, path=path, headers=headers, body=body
+            method=method,
+            path=target.split("?", 1)[0],
+            headers=headers,
+            body=body,
         )
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
     async def _respond(
-        self, request: HttpRequest
-    ) -> Tuple[str, HttpResponse]:
-        """Route one request; returns (endpoint label, response)."""
-        if request.path == "\x00payload-too-large":
-            return "unknown", _json_response(
-                413, _error_payload("payload_too_large", "body too large")
+        self, request: HttpRequest, endpoint: str
+    ) -> HttpResponse:
+        """Route one request through the table to its handler."""
+        route = self._routes.get(request.path)
+        if route is None:
+            raise _HttpError(404, request.path, error="not_found")
+        method, handler, offloaded = route
+        if request.method != method:
+            raise _HttpError(
+                405,
+                f"use {method}",
+                (("Allow", method),),
+                "method_not_allowed",
             )
-        gets: Dict[str, Callable[[], HttpResponse]] = {
-            "/healthz": self._handle_healthz,
-            "/metrics": self._handle_metrics,
-            "/metrics/json": self._handle_metrics_json,
-        }
-        posts: Dict[
-            str, Callable[[Tenant, Dict[str, Any]], HttpResponse]
-        ] = {
-            "/query": self._handle_query,
-            "/topk": self._handle_topk,
-            "/batch": self._handle_batch,
-            "/warm": self._handle_warm,
-        }
-        endpoint = request.path.lstrip("/") or "unknown"
-        if request.path in gets or request.path == "/doctor":
-            if request.method != "GET":
-                return endpoint, _json_response(
-                    405,
-                    _error_payload("method_not_allowed", "use GET"),
-                    headers=(("Allow", "GET"),),
-                )
-            if request.path == "/doctor":
-                return endpoint, await self._offload_call(
-                    self._handle_doctor
-                )
-            return endpoint, gets[request.path]()
-        if request.path in posts:
-            if request.method != "POST":
-                return endpoint, _json_response(
-                    405,
-                    _error_payload("method_not_allowed", "use POST"),
-                    headers=(("Allow", "POST"),),
-                )
-            return endpoint, await self._admit_and_run(
-                endpoint, request, posts[request.path]
-            )
-        return "unknown", _json_response(
-            404, _error_payload("not_found", request.path)
-        )
+        self._inflight += 1
+        try:
+            if method == "POST":
+                return await self._admit_and_run(endpoint, request, handler)
+            return await self._offload(handler) if offloaded else handler()
+        finally:
+            self._inflight -= 1
 
-    async def _offload_call(
+    async def _offload(
         self, handler: Callable[[], HttpResponse]
     ) -> HttpResponse:
-        offload = self._offload
-        if offload is None:
-            raise QueryError("server is not running")
-        return await offload(handler)
+        """Run ``handler`` in the worker pool.
+
+        The task adopts the submitter's ambient ExecutionContext, so
+        limit scopes installed around :meth:`start` (and test
+        harnesses) propagate into worker threads.
+        """
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-http"
+            )
+        context = current_context()
+
+        def task() -> HttpResponse:
+            with adopt_context(context):
+                return handler()
+
+        return await asyncio.get_running_loop().run_in_executor(
+            self._pool, task
+        )
 
     async def _admit_and_run(
         self,
@@ -577,17 +610,18 @@ class HttpServer:
         handler: Callable[[Tenant, Dict[str, Any]], HttpResponse],
     ) -> HttpResponse:
         if self._draining:
-            return self._shed_response(self.admission.shed_draining())
+            raise _shed(self.admission.shed_draining())
         tenant = self.admission.authenticate(self._api_key(request))
         if tenant is None:
-            return _json_response(
+            raise _HttpError(
                 401,
-                _error_payload("unauthorized", "unknown API key"),
-                headers=(("WWW-Authenticate", "ApiKey"),),
+                "unknown API key",
+                (("WWW-Authenticate", "ApiKey"),),
+                "unauthorized",
             )
         admission = self.admission.admit(tenant)
         if not admission.admitted:
-            return self._shed_response(admission)
+            raise _shed(admission)
         try:
             payload = self._parse_json(request)
 
@@ -599,13 +633,7 @@ class HttpServer:
                 ):
                     return handler(tenant, payload)
 
-            return await self._offload_call(work)
-        except _HttpError as exc:
-            return _json_response(
-                exc.status,
-                _error_payload(exc.error, exc.message),
-                headers=exc.headers,
-            )
+            return await self._offload(work)
         finally:
             self.admission.release()
 
@@ -620,27 +648,6 @@ class HttpServer:
         return None
 
     @staticmethod
-    def _shed_response(admission: Admission) -> HttpResponse:
-        if admission.reason == "rate":
-            retry = max(admission.retry_after, 0.001)
-            return _json_response(
-                429,
-                _error_payload("rate_limited", "token bucket empty"),
-                headers=(("Retry-After", f"{retry:.3f}"),),
-            )
-        if admission.reason == "draining":
-            return _json_response(
-                503,
-                _error_payload("draining", "server is draining"),
-                headers=(("Retry-After", "1"),),
-            )
-        return _json_response(
-            503,
-            _error_payload("overloaded", "admission queue full"),
-            headers=(("Retry-After", "1"),),
-        )
-
-    @staticmethod
     def _parse_json(request: HttpRequest) -> Dict[str, Any]:
         if not request.body:
             return {}
@@ -653,7 +660,7 @@ class HttpServer:
         return payload
 
     # ------------------------------------------------------------------
-    # GET endpoints (served on the loop thread; all cheap)
+    # GET endpoints (served on the loop thread, except /doctor)
     # ------------------------------------------------------------------
     def _handle_healthz(self) -> HttpResponse:
         return _json_response(
@@ -723,31 +730,13 @@ class HttpServer:
                 "pair queries over HTTP support only the hetesim "
                 f"measure, got {measure!r} (use /batch)",
             )
-        limits = tenant.resolved_limits(self.default_limits)
-        runtime = self.engine.runtime(
-            limits=limits, on_limit="degrade", faults=self.faults
-        )
-        try:
-            result = runtime.relevance(
+        return self._ladder(
+            tenant,
+            lambda runtime: runtime.relevance(
                 source, target, path, normalized=normalized
-            )
-        except ReproError as exc:
-            return self._repro_error(exc)
-        if result.degraded:
-            _DEGRADED.labels(strategy=result.strategy).inc()
-        return _json_response(
-            200,
-            {
-                "source": source,
-                "target": target,
-                "path": path,
-                "score": float(result.value),
-                "strategy": result.strategy,
-                "degraded": result.degraded,
-                "tripped": result.tripped,
-            },
-            headers=_provenance_headers(
-                result.strategy, result.degraded, result.tripped
+            ),
+            lambda score: dict(
+                source=source, target=target, path=path, score=float(score)
             ),
         )
 
@@ -762,48 +751,48 @@ class HttpServer:
         if not isinstance(measure, str):
             raise _HttpError(400, "body field 'measure' must be a string")
         if measure != "hetesim":
-            return self._run_batch(
-                tenant,
-                BatchRequest(
-                    [
-                        Query(
-                            source=source,
-                            path=path,
-                            k=k,
-                            normalized=normalized,
-                            measure=measure,
-                        )
-                    ]
-                ),
-                single=True,
+            query = Query(
+                source=source,
+                path=path,
+                k=k,
+                normalized=normalized,
+                measure=measure,
             )
-        limits = tenant.resolved_limits(self.default_limits)
-        runtime = self.engine.runtime(
-            limits=limits, on_limit="degrade", faults=self.faults
-        )
-        try:
-            result = runtime.top_k(source, path, k=k, normalized=normalized)
-        except ReproError as exc:
-            return self._repro_error(exc)
-        if result.degraded:
-            _DEGRADED.labels(strategy=result.strategy).inc()
-        ranking = [
-            [key, float(score)] for key, score in result.value
-        ]
-        return _json_response(
-            200,
-            {
-                "source": source,
-                "path": path,
-                "k": k,
-                "ranking": ranking,
-                "strategy": result.strategy,
-                "degraded": result.degraded,
-                "tripped": result.tripped,
-            },
-            headers=_provenance_headers(
-                result.strategy, result.degraded, result.tripped
+            return self._run_batch(tenant, BatchRequest([query]), True)
+        return self._ladder(
+            tenant,
+            lambda runtime: runtime.top_k(
+                source, path, k=k, normalized=normalized
             ),
+            lambda ranking: dict(
+                source=source,
+                path=path,
+                k=k,
+                ranking=[[key, float(score)] for key, score in ranking],
+            ),
+        )
+
+    def _ladder(
+        self,
+        tenant: Tenant,
+        ask: Callable[[ResilientRuntime], DegradedResult],
+        fields: Callable[[Any], Dict[str, Any]],
+    ) -> HttpResponse:
+        """Answer one query through the degradation ladder: ``ask``
+        runs it under the tenant's limits intersected with the server
+        default; ``fields`` renders the answer's value into the body."""
+        result = ask(
+            self.engine.runtime(
+                limits=tenant.resolved_limits(self.default_limits),
+                on_limit="degrade",
+                faults=self.faults,
+            )
+        )
+        return _provenance_response(
+            fields(result.value),
+            result.strategy,
+            result.degraded,
+            result.tripped,
         )
 
     def _handle_batch(
@@ -839,7 +828,7 @@ class HttpServer:
         request = BatchRequest(
             queries, workers=self._requested_workers(payload)
         )
-        return self._run_batch(tenant, request, single=False)
+        return self._run_batch(tenant, request, False)
 
     def _requested_workers(self, payload: Dict[str, Any]) -> int:
         """The body's ``workers``, bounded by the offload pool's size.
@@ -858,32 +847,18 @@ class HttpServer:
     def _run_batch(
         self, tenant: Tenant, request: BatchRequest, single: bool
     ) -> HttpResponse:
+        """Run a batch; ``single`` also puts its one ranking at the top."""
         limits = tenant.resolved_limits(self.default_limits)
         strategy, tripped = "exact", None
         try:
-            try:
-                result = self.server.run(request, limits=limits)
-            except ResourceLimitError as exc:
-                # Last-resort floor: rerun once under the unenforced
-                # truncation floor so overload degrades instead of
-                # failing (mirrors the ladder's truncate-final rung).
-                strategy, tripped = "truncate-final", exc.limit
-                with execution_scope(truncate_eps=FLOOR_EPS):
-                    result = self.server.run(request)
-                _DEGRADED.labels(strategy=strategy).inc()
-        except ReproError as exc:
-            return self._repro_error(exc)
-        return self._batch_response(result, strategy, tripped, single)
-
-    def _batch_response(
-        self,
-        result: BatchResult,
-        strategy: str,
-        tripped: Optional[str],
-        single: bool,
-    ) -> HttpResponse:
-        degraded = strategy != "exact"
-        headers = _provenance_headers(strategy, degraded, tripped)
+            result = self.server.run(request, limits=limits)
+        except ResourceLimitError as exc:
+            # Last-resort floor: rerun once under the ladder's unenforced
+            # truncate-final truncation, so overload degrades instead of
+            # failing.
+            strategy, tripped = "truncate-final", exc.limit
+            with execution_scope(truncate_eps=TRUNCATE_FINAL_EPS):
+                result = self.server.run(request)
         entries = [
             {
                 "source": item.query.source,
@@ -903,14 +878,13 @@ class HttpServer:
                 "halves_materialised": stats.halves_materialised,
                 "seconds": stats.seconds,
             },
-            "strategy": strategy,
-            "degraded": degraded,
-            "tripped": tripped,
+            "results": entries,
         }
         if single and entries:
             body["ranking"] = entries[0]["ranking"]
-        body["results"] = entries
-        return _json_response(200, body, headers=headers)
+        return _provenance_response(
+            body, strategy, strategy != "exact", tripped
+        )
 
     def _handle_warm(
         self, tenant: Tenant, payload: Dict[str, Any]
@@ -922,11 +896,9 @@ class HttpServer:
             raise _HttpError(
                 400, "body field 'paths' must be a list of strings"
             )
-        workers = self._requested_workers(payload)
-        try:
-            report = self.server.warm(raw_paths, workers=workers)
-        except ReproError as exc:
-            return self._repro_error(exc)
+        report = self.server.warm(
+            raw_paths, workers=self._requested_workers(payload)
+        )
         return _json_response(
             200,
             {
@@ -936,26 +908,4 @@ class HttpServer:
                 "workers": report.workers,
                 "seconds": report.seconds,
             },
-        )
-
-    @staticmethod
-    def _repro_error(exc: ReproError) -> HttpResponse:
-        """Map typed library errors to HTTP answers (never a bare 500)."""
-        if isinstance(exc, ResourceLimitError):
-            return _json_response(
-                503,
-                _error_payload("resource_limit", str(exc)),
-                headers=(
-                    ("Retry-After", "1"),
-                    ("X-Repro-Tripped", exc.limit),
-                ),
-            )
-        if isinstance(
-            exc, (QueryError, PathError, GraphError, SchemaError)
-        ):
-            return _json_response(
-                400, _error_payload(type(exc).__name__, str(exc))
-            )
-        return _json_response(
-            500, _error_payload(type(exc).__name__, str(exc))
         )

@@ -218,6 +218,31 @@ class TestBoundedQuery:
         assert captured.err == ""
 
 
+    @pytest.mark.parametrize("measure", ["hetesim", "pathsim"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["query", "--path", "APCPA", "--source", "Tom", "--target", "Mary"],
+            ["query", "--path", "APA", "--source", "Jim", "--target", "Mary",
+             "--raw"],
+            ["topk", "--path", "APCPA", "--source", "Tom", "-k", "3"],
+        ],
+        ids=["query", "query-raw", "topk"],
+    )
+    def test_generous_deadline_prints_the_same_lines(
+        self, graph_file, capsys, measure, command
+    ):
+        argv = [command[0], graph_file, *command[1:], "--measure", measure]
+        printed = []
+        for limits in ([], ["--deadline-ms", "60000"]):
+            assert main(argv + limits) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            printed.append(captured.out)
+        assert printed[0].strip()
+        assert printed[0] == printed[1]
+
+
 class TestDoctor:
     def test_healthy_graph_passes(self, graph_file, capsys):
         code = main(["doctor", graph_file])

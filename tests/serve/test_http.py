@@ -3,12 +3,14 @@
 Every test drives a real ``HttpServer`` bound to an ephemeral
 127.0.0.1 port through ``http.client`` -- request parsing, routing,
 admission, degradation provenance and drain are all exercised over the
-wire, not by calling handlers directly.
+wire, not by calling handlers directly.  Heads ``http.client`` will not
+send (malformed, oversized, pipelined) go over a raw socket.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.client import HTTPConnection
@@ -18,7 +20,7 @@ import pytest
 from repro.core.engine import HeteSimEngine
 from repro.datasets.toy import fig4_network
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE
-from repro.runtime.limits import ExecutionLimits
+from repro.runtime.limits import ExecutionLimits, execution_scope
 from repro.serve import (
     AdmissionController,
     HttpServer,
@@ -52,6 +54,43 @@ def request(
         return response.status, header_map, payload
     finally:
         connection.close()
+
+
+def raw_exchange(server, data, timeout=5.0):
+    """Send raw bytes on one connection and read until the server ends
+    it; returns ([(status, headers), ...], ending), where ``ending`` is
+    ``"close"``, ``"reset"`` or ``"open"`` (still open at ``timeout``)."""
+    received, ending = b"", "open"
+    with socket.create_connection(
+        ("127.0.0.1", server.port), timeout=timeout
+    ) as sock:
+        sock.sendall(data)
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+            ending = "close"
+        except ConnectionResetError:
+            ending = "reset"
+        except socket.timeout:
+            pass
+    responses = []
+    while received:
+        head, _, rest = received.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        headers = {
+            name.strip().lower(): value.strip()
+            for name, _, value in (line.partition(":") for line in lines[1:])
+        }
+        responses.append((int(lines[0].split()[1]), headers))
+        received = rest[int(headers.get("content-length", 0)):]
+    return responses, ending
+
+
+def header_lines(count):
+    return b"".join(b"X-Filler-%d: v\r\n" % index for index in range(count))
+
+
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
 
 
 @pytest.fixture()
@@ -152,6 +191,96 @@ class TestRouting:
                 response.read()
         finally:
             connection.close()
+
+
+class TestHostileHeads:
+    """A head the server will not read gets one typed answer with
+    ``Connection: close``, then the server closes the connection, so
+    the bytes after that head are never parsed as a request."""
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nHost x\r\n\r\n", 400),
+            (b"POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+            (b"POST /query HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+            (b"POST /query HTTP/1.1\r\nContent-Length: 9999999\r\n\r\n", 413),
+            (b"GET /healthz HTTP/1.1\r\n" + header_lines(101) + b"\r\n", 431),
+            (
+                b"POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+                501,
+            ),
+        ],
+        ids=[
+            "request-line",
+            "header-without-colon",
+            "content-length-abc",
+            "content-length-negative",
+            "body-too-large",
+            "101-header-lines",
+            "transfer-encoding",
+        ],
+    )
+    def test_answered_with_close_then_closed(self, server, head, status):
+        responses, ending = raw_exchange(server, head)
+        assert [code for code, _ in responses] == [status]
+        assert responses[0][1]["connection"] == "close"
+        assert ending == "close"
+
+    def test_overlong_header_line_is_431_or_reset(self, server):
+        head = b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 17 * 1024
+        responses, ending = raw_exchange(server, head + b"\r\n\r\n")
+        statuses = [code for code, _ in responses]
+        assert statuses == [431] or (statuses == [] and ending == "reset")
+        assert ending != "open"
+
+    @pytest.mark.parametrize(
+        "framing",
+        [b"Content-Length: 9999999", b"Transfer-Encoding: chunked"],
+        ids=["content-length", "transfer-encoding"],
+    )
+    def test_unread_body_never_parses_as_a_request(self, server, framing):
+        head = b"POST /query HTTP/1.1\r\nHost: x\r\n" + framing
+        responses, ending = raw_exchange(
+            server, head + b"\r\n\r\n" + HEALTHZ
+        )
+        assert len(responses) == 1, responses
+        assert responses[0][0] in (413, 501)
+        assert ending == "close"
+
+    def test_pipelined_requests_answered_in_order(self, server):
+        last = b"GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n"
+        responses, ending = raw_exchange(server, HEALTHZ + last)
+        assert [code for code, _ in responses] == [200, 404]
+        assert [headers["connection"] for _, headers in responses] == [
+            "keep-alive",
+            "close",
+        ]
+        assert ending == "close"
+
+    def test_bare_lf_head_answered(self, server):
+        head = b"GET /healthz HTTP/1.1\nHost: x\nConnection: close\n\n"
+        responses, ending = raw_exchange(server, head)
+        assert [code for code, _ in responses] == [200]
+        assert ending == "close"
+
+    def test_100_header_lines_answered(self, server):
+        head = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"
+        responses, _ = raw_exchange(server, head + header_lines(99) + b"\r\n")
+        assert [code for code, _ in responses] == [200]
+
+    def test_keep_alive_after_body_and_body_errors(self, server):
+        body = json.dumps({"source": "Tom", "target": "KDD", "path": "APC"})
+        post = (
+            b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+            % (len(body), body.encode())
+        )
+        bad = b"POST /query HTTP/1.1\r\nContent-Length: 4\r\n\r\noops"
+        last = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        responses, ending = raw_exchange(server, post + bad + last)
+        assert [code for code, _ in responses] == [200, 400, 200]
+        assert ending == "close"
 
 
 class TestQueryEndpoints:
@@ -384,6 +513,31 @@ class TestDegradation:
         )
         _, _, text = request(strict_server, "GET", "/metrics")
         assert b"repro_http_degraded_total" in text
+
+
+class TestContextPropagation:
+    def test_scope_around_start_reaches_worker_threads(self):
+        """Offloaded handlers adopt the ambient context of the thread
+        that started the server: a zero deadline installed around
+        ``start()`` trips the batch, which then answers from the
+        floor."""
+        server = HttpServer(HeteSimEngine(fig4_network()))
+        with execution_scope(
+            tracker=ExecutionLimits(deadline_ms=0.0).tracker()
+        ):
+            server.start()
+        try:
+            status, headers, _ = request(
+                server,
+                "POST",
+                "/batch",
+                {"queries": [{"source": "Tom", "path": "APCPA", "k": 2}]},
+            )
+        finally:
+            server.stop()
+        assert status == 200
+        assert headers["x-repro-strategy"] == "truncate-final"
+        assert headers["x-repro-tripped"] == "deadline"
 
 
 class TestDrain:
