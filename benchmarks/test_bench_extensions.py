@@ -107,21 +107,6 @@ def test_threshold_topk(benchmark, acm):
     assert ranking[0][0] == "KDD"
 
 
-def test_lowrank_build_and_query(benchmark, acm):
-    from repro.core.lowrank import LowRankHeteSim
-
-    graph = acm.graph
-    path = graph.schema.path("APVCVPA")
-    hub = acm.personas["hub_author"]
-
-    def run():
-        approx = LowRankHeteSim(graph, path, rank=8)
-        return approx.top_k(hub, k=5)
-
-    ranking = benchmark(run)
-    assert len(ranking) == 5
-
-
 def test_explain_pair(benchmark, acm):
     from repro.core.explain import explain_relevance
 

@@ -24,7 +24,6 @@ from .measures import (
     get_measure,
     register_measure,
 )
-from .lowrank import LowRankHeteSim
 from .hetesim import (
     half_reach_matrices,
     hetesim_all_sources,
@@ -54,7 +53,6 @@ __all__ = [
     "fit_combined_weights",
     "get_measure",
     "register_measure",
-    "LowRankHeteSim",
     "explain_relevance",
     "materialise",
     "MatrixStore",

@@ -1,26 +1,28 @@
 """Graceful degradation: bounded queries that answer instead of dying.
 
 The paper's §4.6 "quick computation strategies" (off-line
-materialisation, truncation, pruning, low-rank approximation) become a
-*runtime policy* here: a query runs under
-:class:`~repro.runtime.limits.ExecutionLimits`, and when the exact
-computation trips a deadline or budget the runtime retries it through a
-chain of progressively cheaper strategies --
+materialisation, truncation, pruning) become a *runtime policy* here: a
+query runs under :class:`~repro.runtime.limits.ExecutionLimits`, and
+when the exact computation trips a deadline or budget the runtime
+retries it through a chain of progressively cheaper strategies --
 
-1. ``exact`` -- the full planned computation (limits enforced);
+1. ``exact`` -- the full computation (limits enforced);
 2. ``truncate`` -- cached-prefix reuse plus light entry truncation
-   after every plan step, bounding fill-in growth (limits enforced);
+   after every chain product, bounding fill-in growth (limits
+   enforced);
 3. ``prune`` -- aggressive truncation plus forward-mass pruning of the
    query distribution (limits enforced);
-4. ``lowrank`` -- a rank-``r`` approximation over truncated halves
-   (the unenforced floor: always answers);
-5. ``truncate-final`` -- unenforced aggressive truncation, reached only
-   when the low-rank factorisation is infeasible (tiny matrices).
+4. ``truncate-final`` -- unenforced aggressive truncation: the floor
+   that always answers.
 
-The caller receives a :class:`DegradedResult` naming the strategy that
-answered, the limit that tripped the exact attempt, every attempt made,
-and accuracy metadata (truncated mass, dropped forward mass, captured
-spectral energy) -- or, with ``on_limit="fail"``, the typed
+Every rung computes the one HeteSim measure: the prepared state of
+:mod:`repro.core.measures.hetesim` (with a pruned forward row on the
+prune rung), scored by ``score_pair`` or ranked by ``score_vector``
+and :func:`~repro.core.search.select_top_k`.  The caller receives a
+:class:`DegradedResult` naming the strategy that answered, the limit
+that tripped the exact attempt, every attempt made, and accuracy
+metadata (truncated mass, dropped forward mass) -- or, with
+``on_limit="fail"``, the typed
 :class:`~repro.hin.errors.ResourceLimitError` of the first breach.
 """
 
@@ -35,7 +37,6 @@ from scipy import sparse
 
 from ..core.engine import HeteSimEngine
 from ..core.hetesim import unit_rows
-from ..core.lowrank import LowRankHeteSim
 from ..core.measures import HeteSimPrepared, get_measure
 from ..core.search import select_top_k
 from ..hin.errors import QueryError, ResourceLimitError
@@ -69,8 +70,6 @@ __all__ = [
 class Strategy:
     """One rung of the degradation ladder.
 
-    ``kind`` is ``"halves"`` (score from possibly-truncated half
-    matrices) or ``"lowrank"`` (rank-``rank`` factorisation).
     ``truncate_eps`` is the per-step entry-truncation threshold applied
     by the backend; ``prune_mass`` additionally drops that much of the
     query's forward probability mass before scoring.  ``enforced``
@@ -79,10 +78,8 @@ class Strategy:
     """
 
     name: str
-    kind: str = "halves"
     truncate_eps: float = 0.0
     prune_mass: float = 0.0
-    rank: int = 8
     enforced: bool = True
 
     def __post_init__(self) -> None:
@@ -96,14 +93,13 @@ class Strategy:
 #: HTTP ``/batch`` last-resort retry runs under the same value.
 TRUNCATE_FINAL_EPS = 1e-4
 
-#: The default ladder: exact, then §4.6-style truncation, pruning and
-#: low-rank approximation, with an unenforced truncation floor so a
-#: degraded query always produces an answer.
+#: The default ladder: exact, then §4.6-style truncation and pruning,
+#: with an unenforced truncation floor so a degraded query always
+#: produces an answer.
 DEFAULT_POLICY: Tuple[Strategy, ...] = (
     Strategy("exact"),
     Strategy("truncate", truncate_eps=1e-8),
     Strategy("prune", truncate_eps=1e-4, prune_mass=1e-3),
-    Strategy("lowrank", kind="lowrank", truncate_eps=1e-4, enforced=False),
     Strategy(
         "truncate-final", truncate_eps=TRUNCATE_FINAL_EPS, enforced=False
     ),
@@ -147,9 +143,9 @@ class DegradedResult:
         Every attempt in order, including the successful one.
     accuracy:
         Strategy-specific accuracy metadata: ``truncated_mass`` (total
-        entry mass discarded by truncation), ``dropped_forward_mass``
-        (query mass removed by pruning), ``captured_energy`` and
-        ``rank`` (low-rank strategies).
+        entry mass discarded by truncation) and ``dropped_forward_mass``
+        (query mass removed by pruning).  A raw score lies within their
+        sum of the exact one.
     """
 
     value: Any
@@ -287,14 +283,6 @@ class ResilientRuntime:
         meta = self.engine.path(path)
 
         def evaluate(strategy: Strategy) -> Tuple[float, Dict[str, float]]:
-            if strategy.kind == "lowrank":
-                approx, accuracy = self._lowrank(meta, strategy)
-                return (
-                    approx.relevance(
-                        source_key, target_key, normalized=normalized
-                    ),
-                    accuracy,
-                )
             prepared, row, accuracy = self._prepared(
                 meta, source_key, strategy
             )
@@ -328,12 +316,6 @@ class ResilientRuntime:
         def evaluate(
             strategy: Strategy,
         ) -> Tuple[List[Tuple[str, float]], Dict[str, float]]:
-            if strategy.kind == "lowrank":
-                approx, accuracy = self._lowrank(meta, strategy)
-                return (
-                    approx.top_k(source_key, k=k, normalized=normalized),
-                    accuracy,
-                )
             prepared, row, accuracy = self._prepared(
                 meta, source_key, strategy
             )
@@ -393,25 +375,6 @@ class ResilientRuntime:
                     if self.on_limit == "fail":
                         raise
                     continue
-                except QueryError:
-                    if strategy.kind == "lowrank":
-                        # Tiny half matrices cannot be factored; fall
-                        # through to the unenforced truncation floor.
-                        elapsed_ms = (perf_counter() - started) * 1e3
-                        attempts.append(
-                            Attempt(
-                                strategy=strategy.name,
-                                error="QueryError",
-                                tripped=None,
-                                elapsed_ms=elapsed_ms,
-                            )
-                        )
-                        _ATTEMPTS.labels(
-                            strategy=strategy.name, outcome="infeasible"
-                        ).inc()
-                        attempt_span.set(outcome="infeasible")
-                        continue
-                    raise
                 elapsed_ms = (perf_counter() - started) * 1e3
                 attempt_span.set(outcome="ok")
             _ATTEMPTS.labels(strategy=strategy.name, outcome="ok").inc()
@@ -446,7 +409,7 @@ class ResilientRuntime:
     def _prepared(
         self, meta: MetaPath, source_key: str, strategy: Strategy
     ) -> Tuple[HeteSimPrepared, int, Dict[str, float]]:
-        """The HeteSim prepared state a halves rung scores from.
+        """The HeteSim prepared state every rung scores from.
 
         Runs inside the rung's execution scope, so the engine memo
         serves the exact form when it has it and otherwise builds one
@@ -473,13 +436,3 @@ class ResilientRuntime:
              prepared.right_norms),
         )
         return pruned, 0, {"dropped_forward_mass": dropped}
-
-    def _lowrank(
-        self, meta: MetaPath, strategy: Strategy
-    ) -> Tuple[LowRankHeteSim, Dict[str, float]]:
-        approx = LowRankHeteSim(self.graph, meta, rank=strategy.rank)
-        accuracy = {
-            "rank": float(min(approx.rank_left, approx.rank_right)),
-            "captured_energy": approx.captured_energy,
-        }
-        return approx, accuracy

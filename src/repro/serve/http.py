@@ -19,19 +19,20 @@ framework, no event-loop dependency beyond :mod:`asyncio`):
   tenant's :class:`~repro.runtime.limits.ExecutionLimits` intersected
   with the server default (strictest wins).
 * **Overload degrades, it does not 500** -- single-query endpoints run
-  the full exact→truncate→prune→lowrank degradation ladder
+  the full exact→truncate→prune→truncate-final degradation ladder
   (:class:`~repro.runtime.resilience.ResilientRuntime`); batch runs
   exact under the tenant tracker and, on a
   :class:`~repro.hin.errors.ResourceLimitError`, retries once under
   the ladder's unenforced ``truncate-final`` truncation.  Degraded
   answers carry provenance headers (``X-Repro-Strategy``,
   ``X-Repro-Tripped``, ``X-Repro-Degraded``) so clients can tell an
-  approximate 200 from an exact one.
+  approximate 200 from an exact one.  A ``/warm`` that breaches the
+  tenant's limits is not retried: it gets a 503.
 * **Hostile heads close** -- a head the server will not read gets a
   typed answer with ``Connection: close``, then the connection closes,
   so unread bytes never parse as a request (400 malformed request or
-  header line or non-decimal ``Content-Length``; 413 body over 4 MiB;
-  431 line over 16 KiB or over 100 header lines; 501
+  header line, non-decimal or conflicting ``Content-Length``; 413 body
+  over 4 MiB; 431 line over 16 KiB or over 100 header lines; 501
   ``Transfer-Encoding``).
 * **Graceful drain** -- :meth:`HttpServer.stop` (and the CLI's
   SIGTERM handler) stops accepting connections, lets in-flight
@@ -528,7 +529,12 @@ class HttpServer:
             name, colon, value = raw.decode("latin-1").partition(":")
             if not colon:
                 raise _HttpError(400, "header line without a colon")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                # RFC 9112 §6.3: differing lengths leave the framing
+                # unknown, so the message is unrecoverable.
+                raise _HttpError(400, "conflicting Content-Length headers")
+            headers[name] = value
         else:
             raise _HttpError(
                 431,
@@ -896,9 +902,15 @@ class HttpServer:
             raise _HttpError(
                 400, "body field 'paths' must be a list of strings"
             )
-        report = self.server.warm(
-            raw_paths, workers=self._requested_workers(payload)
-        )
+        workers = self._requested_workers(payload)
+        limits = tenant.resolved_limits(self.default_limits)
+        if limits is None:
+            report = self.server.warm(raw_paths, workers=workers)
+        else:
+            # A breach reaches _error_response as a 503: a warm-up has
+            # no cheaper rung to fall back to.
+            with execution_scope(tracker=limits.tracker()):
+                report = self.server.warm(raw_paths, workers=workers)
         return _json_response(
             200,
             {

@@ -10,6 +10,7 @@ from repro.core.measures import MeasureContext, get_measure
 from repro.core.search import rank_targets, top_k_targets
 from repro.datasets.schemas import toy_apc_schema
 from repro.hin.graph import HeteroGraph
+from repro.runtime.limits import ExecutionLimits
 from repro.runtime.resilience import ResilientRuntime, Strategy
 from repro.serve.batch import BatchRequest, Query, QueryServer
 
@@ -302,6 +303,40 @@ class TestPruningProperties:
         ) + approx.accuracy.get("truncated_mass", 0.0)
         for key, score in approx.value:
             assert abs(score - exact[key]) <= bound + 1e-10
+
+
+class TestDefaultLadderBound:
+    # Paths whose halves need a chain product, so a zero deadline trips
+    # the exact rung (AP's halves come from the edge-object split alone).
+    @given(
+        apc_graphs(),
+        st.sampled_from(["APC", "APA", "APCPA", "CPAPC", "APCP"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reported_mass_bounds_raw_error(self, graph, spec):
+        """The shipped ladder on a cold engine under a zero deadline:
+        the exact rung trips, and every raw score the answering rung
+        returns lies within dropped_forward_mass + truncated_mass of
+        the exact score."""
+        path = graph.schema.path(spec)
+        n_targets = graph.num_nodes(path.target_type.name)
+        for source in graph.node_keys(path.source_type.name)[:2]:
+            exact = dict(
+                HeteSimEngine(graph).top_k(
+                    source, spec, k=n_targets, normalized=False
+                )
+            )
+            result = HeteSimEngine(graph).runtime(
+                ExecutionLimits(deadline_ms=0)
+            ).top_k(source, spec, k=n_targets, normalized=False)
+            assert result.degraded
+            bound = result.accuracy.get(
+                "dropped_forward_mass", 0.0
+            ) + result.accuracy.get("truncated_mass", 0.0)
+            for key, score in result.value:
+                assert abs(score - exact[key]) <= bound + 1e-10, (
+                    result.strategy, key, score, exact[key], bound
+                )
 
 
 class TestMultiPathProperties:

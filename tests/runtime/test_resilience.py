@@ -6,6 +6,8 @@ the first charge.  Warm caches legitimately skip enforcement (a fully
 cached query does no bounded work), so every test builds a cold engine.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.engine import HeteSimEngine
@@ -113,9 +115,9 @@ class TestDeadlineDegradation:
         assert result.attempts[0].error == "DeadlineExceededError"
         assert not result.attempts[0].succeeded
         assert result.attempts[-1].succeeded
-        # The unenforced floor strategies answer; the answer is an
-        # approximation, but it is a valid normalized relevance.
-        assert result.strategy in ("lowrank", "truncate-final")
+        # The unenforced floor answers; the answer is an approximation,
+        # but it is a valid normalized relevance.
+        assert result.strategy == "truncate-final"
         assert 0.0 <= result.value <= 1.0 + 1e-9
         assert "degraded: tripped deadline" in result.summary()
 
@@ -232,26 +234,6 @@ class TestAccuracyMetadata:
         assert result.strategy == "floor"
         assert "dropped_forward_mass" in result.accuracy
 
-    def test_lowrank_floor_reports_rank_and_energy(self, fig4):
-        policy = (
-            Strategy("exact"),
-            Strategy("lr", kind="lowrank", rank=4, enforced=False),
-            Strategy("floor", truncate_eps=1e-6, enforced=False),
-        )
-        runtime = ResilientRuntime(
-            HeteSimEngine(fig4),
-            limits=ExecutionLimits(max_bytes=1),
-            policy=policy,
-        )
-        result = runtime.relevance("Tom", "Tom", LONG_PATH)
-        if result.strategy == "lr":
-            assert result.accuracy["rank"] >= 1
-            assert 0.0 < result.accuracy["captured_energy"] <= 1.0 + 1e-9
-        else:
-            # Matrices too tiny to factor: the chain fell through to the
-            # truncation floor, which is exactly its job.
-            assert result.strategy == "floor"
-
     def test_summary_renders_attempt_chain(self, fig4):
         runtime = ResilientRuntime(
             HeteSimEngine(fig4), limits=ExecutionLimits(max_bytes=1)
@@ -267,6 +249,18 @@ class TestPolicyShape:
         assert DEFAULT_POLICY[0].name == "exact"
         assert DEFAULT_POLICY[0].enforced
         assert not DEFAULT_POLICY[-1].enforced
+
+    def test_every_rung_is_a_hetesim_rung(self):
+        """The ladder's rungs differ only in truncation, pruning and
+        enforcement: each one scores the one HeteSim prepared state."""
+        assert [s.name for s in DEFAULT_POLICY] == [
+            "exact", "truncate", "prune", "truncate-final",
+        ]
+        assert [f.name for f in dataclasses.fields(Strategy)] == [
+            "name", "truncate_eps", "prune_mass", "enforced",
+        ]
+        with pytest.raises(TypeError):
+            Strategy("lr", kind="lowrank", rank=4, enforced=False)
 
     def test_every_attempt_recorded_in_order(self, fig4):
         runtime = ResilientRuntime(

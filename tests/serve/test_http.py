@@ -249,6 +249,30 @@ class TestHostileHeads:
         assert responses[0][0] in (413, 501)
         assert ending == "close"
 
+    QUERY = json.dumps({"source": "Tom", "target": "KDD", "path": "APC"})
+    POST = b"POST /query HTTP/1.1\r\nConnection: close\r\n"
+
+    def test_conflicting_content_length_400_then_closed(self, server):
+        """Differing repeated lengths leave the framing unknown (RFC 9112
+        §6.3): one 400, then the close, whichever length the body fits."""
+        lengths = b"Content-Length: 3\r\nContent-Length: %d\r\n" % len(
+            self.QUERY
+        )
+        responses, ending = raw_exchange(
+            server, self.POST + lengths + b"\r\n" + self.QUERY.encode()
+        )
+        assert [code for code, _ in responses] == [400]
+        assert responses[0][1]["connection"] == "close"
+        assert ending == "close"
+
+    def test_repeated_equal_content_length_answered(self, server):
+        length = b"Content-Length: %d\r\n" % len(self.QUERY)
+        responses, ending = raw_exchange(
+            server, self.POST + length * 2 + b"\r\n" + self.QUERY.encode()
+        )
+        assert [code for code, _ in responses] == [200]
+        assert ending == "close"
+
     def test_pipelined_requests_answered_in_order(self, server):
         last = b"GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n"
         responses, ending = raw_exchange(server, HEALTHZ + last)
@@ -357,6 +381,56 @@ class TestQueryEndpoints:
         )
         assert status == 200
         assert body["paths"] == ["APC", "APCPA"]
+
+
+class TestWarmLimits:
+    """``/warm`` runs under the tenant's limits like every other POST.
+    A warm-up has no cheaper rung to fall back to, so a breach is a 503
+    and nothing is materialised."""
+
+    PATHS = ["APCPA", "CPAPC"]
+
+    @pytest.fixture()
+    def limited_server(self):
+        engine = HeteSimEngine(fig4_network())  # cold: no memoised forms
+        tenants = {
+            "key-strict": Tenant(
+                "strict",
+                limits=ExecutionLimits(deadline_ms=0.0, max_bytes=1),
+            ),
+            "key-open": Tenant("open"),
+        }
+        with HttpServer(
+            engine,
+            admission=AdmissionController(tenants, queue_capacity=8),
+        ) as running:
+            yield running
+
+    def _warmed(self, server):
+        engine = server.engine
+        return [engine.has_halves(engine.path(spec)) for spec in self.PATHS]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_breach_is_503_and_materialises_nothing(
+        self, limited_server, workers
+    ):
+        body = {"paths": self.PATHS, "workers": workers}
+        status, headers, reply = request(
+            limited_server, "POST", "/warm", body, key="key-strict"
+        )
+        assert status == 503, reply
+        assert reply["error"] == "resource_limit"
+        assert headers["retry-after"] == "1"
+        assert headers["x-repro-tripped"] in ("deadline", "max_bytes")
+        assert self._warmed(limited_server) == [False, False]
+        assert limited_server.admission.depth == 0
+        # A tenant without limits still warms the same paths.
+        status, _, reply = request(
+            limited_server, "POST", "/warm", body, key="key-open"
+        )
+        assert status == 200, reply
+        assert reply["paths"] == self.PATHS
+        assert self._warmed(limited_server) == [True, True]
 
 
 class TestWorkersBound:
