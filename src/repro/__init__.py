@@ -42,8 +42,12 @@ from .hin import (
     RelationType,
     ReproError,
 )
-from .runtime import ExecutionLimits, FaultPlan
-from .runtime.resilience import DegradedResult, ResilientRuntime
+from .runtime import (
+    DegradedResult,
+    ExecutionLimits,
+    FaultPlan,
+    ResilientRuntime,
+)
 
 __version__ = "1.0.0"
 

@@ -12,8 +12,8 @@ convention:
 * **RPR003** -- no ambient nondeterminism: RNGs must be seeded and
   wall-clock reads must go through an injectable clock.
 * **RPR005** -- thread pools must propagate the ambient
-  :class:`~repro.runtime.limits.ExecutionContext` via
-  :func:`~repro.runtime.limits.adopt_context`, or limits and fault
+  :class:`~repro.core.scope.ExecutionContext` via
+  :func:`~repro.core.scope.adopt_context`, or limits and fault
   plans silently stop applying inside workers.
 * **RPR006** -- no ``==`` / ``!=`` against float literals; use a
   tolerance (:func:`math.isclose`) instead.
@@ -243,12 +243,12 @@ class ContextPropagationRule(BaseRule):
 
     :mod:`contextvars` values do not cross thread boundaries, so a
     ``ThreadPoolExecutor`` whose tasks are not wrapped in
-    :func:`~repro.runtime.limits.adopt_context` silently drops the
+    :func:`~repro.core.scope.adopt_context` silently drops the
     submitting thread's deadline, budgets and fault plan.  The rule
     flags any function that constructs a ``ThreadPoolExecutor`` without
     referencing ``adopt_context`` anywhere in its body (the wrapping
     closure counts -- that is exactly how
-    :meth:`repro.serve.dispatch.Dispatcher.map` passes).
+    :func:`repro.core.scope.fan_out` passes).
     """
 
     rule_id = "RPR005"
@@ -272,7 +272,8 @@ class ContextPropagationRule(BaseRule):
                         "ThreadPoolExecutor without adopt_context: "
                         "worker threads lose the ambient "
                         "ExecutionContext (wrap tasks with "
-                        "repro.runtime.limits.adopt_context)",
+                        "repro.core.scope.adopt_context, or use "
+                        "repro.core.scope.fan_out)",
                     )
                 )
         return findings

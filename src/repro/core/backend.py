@@ -11,13 +11,13 @@ so a path matrix is the same bits whatever a
 :class:`~repro.core.cache.PathMatrixCache` held when it was built: a
 cached prefix replaces only the intermediate the tree forms anyway.
 
-It is also the *cooperative enforcement point* of the resilience layer
-(:mod:`repro.runtime`): between products it consults the ambient
-:class:`~repro.runtime.limits.ExecutionContext` (installed by
-:func:`~repro.runtime.limits.execution_scope`) to check wall-clock
-deadlines and nnz/byte budgets, to fire deterministic test faults, and
-to apply entry truncation when a degraded strategy asks for it.
-Outside any scope the checks are a single ``None`` test per product.
+It is also the main *cooperative enforcement point* of the ambient
+execution scope (:mod:`repro.core.scope`): between products it consults
+the ambient :class:`~repro.core.scope.ExecutionContext` to check
+wall-clock deadlines and nnz/byte budgets, to fire deterministic test
+faults, and to apply entry truncation when a degraded strategy asks for
+it.  Outside any scope the checks are a single ``None`` test per
+product.
 
 Each call is observed through :mod:`repro.obs`: one ``plan.execute``
 span with a ``plan.step`` child per product, and the ``repro_plan_*``
@@ -39,8 +39,7 @@ from ..hin.matrices import factor_matrix
 from ..hin.metapath import MetaPath
 from ..obs.metrics import NNZ_BUCKETS, REGISTRY, SECONDS_BUCKETS
 from ..obs.trace import span as trace_span
-from ..runtime.faults import SITE_EXECUTOR_STEP
-from ..runtime.limits import current_context
+from .scope import SITE_EXECUTOR_STEP, current_context, truncating
 
 _PLANS = REGISTRY.counter(
     "repro_plan_executions_total", "Path-matrix materialisations run."
@@ -62,7 +61,6 @@ __all__ = [
     "estimate_product",
     "sparse_chain_order",
     "materialise",
-    "truncating",
 ]
 
 #: Estimated fill-in (nnz / cells) above which an intermediate is
@@ -168,14 +166,19 @@ def _nnz(matrix) -> int:
     return int(np.count_nonzero(matrix))
 
 
-def _nbytes(matrix) -> int:
-    """Bytes materialised for one intermediate (CSR arrays or dense)."""
-    if sparse.issparse(matrix):
-        csr = matrix
+def _nbytes(entry) -> int:
+    """Bytes of a matrix's CSR arrays or dense array, summed over a
+    tuple (what a product is charged and a cache entry weighs); other
+    parts (the walk operator's node-label index) count 0."""
+    if isinstance(entry, tuple):
+        return sum(_nbytes(part) for part in entry)
+    if sparse.issparse(entry):
         return int(
-            csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+            entry.data.nbytes + entry.indices.nbytes + entry.indptr.nbytes
         )
-    return int(np.asarray(matrix).nbytes)
+    if isinstance(entry, np.ndarray):
+        return int(entry.nbytes)
+    return 0
 
 
 def _truncate(matrix, eps: float):
@@ -218,17 +221,6 @@ def _as_csr(matrix) -> sparse.csr_matrix:
     if sparse.issparse(matrix):
         return matrix.tocsr()
     return sparse.csr_matrix(matrix)
-
-
-def truncating() -> bool:
-    """Whether the ambient execution scope truncates chain products.
-
-    Products computed under truncation (a degraded strategy's
-    ``truncate_eps > 0``) are not the exact matrices of any path; the
-    cache consults this before storing anything or sharing a build.
-    """
-    context = current_context()
-    return context is not None and context.truncate_eps > 0.0
 
 
 class _Run:

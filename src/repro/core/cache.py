@@ -41,7 +41,8 @@ from ..hin.errors import QueryError
 from ..hin.graph import HeteroGraph
 from ..hin.metapath import MetaPath
 from ..obs.metrics import REGISTRY, instance_label
-from .backend import materialise, truncating
+from .backend import _nbytes, materialise
+from .scope import truncating
 
 __all__ = [
     "CacheStats",
@@ -78,18 +79,6 @@ def path_key(path: MetaPath) -> PathKey:
 def _relation_names(key: PathKey) -> PathKey:
     """The relation-name part of a key (its namespace token stripped)."""
     return key[1:] if key and key[0].startswith("#") else key
-
-
-def _nbytes(entry) -> int:
-    """Bytes of an entry's CSR arrays and dense vectors.  Other parts
-    (the walk operator's index of node labels) are not counted."""
-    if isinstance(entry, tuple):
-        return sum(_nbytes(part) for part in entry)
-    if isinstance(entry, np.ndarray):
-        return entry.nbytes
-    if sparse.issparse(entry):
-        return entry.data.nbytes + entry.indices.nbytes + entry.indptr.nbytes
-    return 0
 
 
 @dataclass(frozen=True)

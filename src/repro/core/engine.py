@@ -18,6 +18,7 @@ off-line / on-line split Section 4.6 describes.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -30,8 +31,47 @@ from ..obs.trace import span as trace_span
 from .cache import FORM_NAMESPACE, CacheStats, PathKey, PathMatrixCache, path_key
 from .hetesim import Halves, scoring_form
 from .measures import MeasureContext, get_measure
+from .scope import fan_out
 
-__all__ = ["HeteSimEngine"]
+__all__ = ["HeteSimEngine", "WarmReport"]
+
+
+@dataclass(frozen=True)
+class WarmReport:
+    """What :meth:`HeteSimEngine.warm` did: which paths were
+    pre-materialised, which half-path matrices were persisted, which
+    paths could not be persisted, and how long the warm-up took.
+
+    ``skipped`` lists odd (edge-object) paths whose transition halves
+    cannot round-trip through a matrix store: they were memoised for
+    this process but a fresh process must recompute them.  An empty
+    tuple when no store was given or every path persisted fully.
+    """
+
+    paths: Tuple[str, ...]
+    persisted: Tuple[str, ...]
+    workers: int
+    seconds: float
+    skipped: Tuple[str, ...] = ()
+
+    def summary(self) -> str:
+        """One-line rendering (the ``serve-warm`` CLI output)."""
+        persisted = (
+            f", persisted {len(self.persisted)} half matrices"
+            if self.persisted
+            else ""
+        )
+        skipped = (
+            f", skipped persisting {len(self.skipped)} odd path(s) "
+            f"[{', '.join(self.skipped)}]"
+            if self.skipped
+            else ""
+        )
+        return (
+            f"warmed {len(self.paths)} path(s) "
+            f"[{', '.join(self.paths)}] with {self.workers} worker(s) "
+            f"in {self.seconds * 1e3:.1f} ms{persisted}{skipped}"
+        )
 
 
 class HeteSimEngine:
@@ -147,15 +187,15 @@ class HeteSimEngine:
         paths: Iterable[PathSpec],
         workers: int = 1,
         store=None,
-    ):
+    ) -> WarmReport:
         """Pre-materialise scoring forms (§4.6 off-line).
 
         Resolves ``paths``, materialises each distinct path's form --
-        concurrently on a :class:`~repro.serve.dispatch.Dispatcher`
-        thread pool when ``workers > 1`` -- and, when ``store`` (a
-        :class:`~repro.core.store.MatrixStore`) is given, persists the
-        half-path ``PM`` matrices so a fresh process can reload them
-        with :meth:`MatrixStore.load_into` instead of recomputing.
+        on ``workers`` threads (:func:`~repro.core.scope.fan_out`) --
+        and, when ``store`` (a :class:`~repro.core.store.MatrixStore`)
+        is given, persists the half-path ``PM`` matrices so a fresh
+        process can reload them with :meth:`MatrixStore.load_into`
+        instead of recomputing.
 
         Odd (edge-object) paths are memoised in process like any other,
         but their transition halves are built from a decomposed edge
@@ -163,11 +203,8 @@ class HeteSimEngine:
         through a :class:`MatrixStore`.  Such paths are listed in
         ``WarmReport.skipped`` rather than silently passing as
         persisted; only their pure-path prefix pieces (when present)
-        are saved.  Returns a
-        :class:`~repro.serve.dispatch.WarmReport`.
+        are saved.  Returns a :class:`WarmReport`.
         """
-        from ..serve.dispatch import Dispatcher, WarmReport
-
         started = time.perf_counter()
         distinct: Dict[PathKey, MetaPath] = {}
         for spec in paths:
@@ -179,7 +216,7 @@ class HeteSimEngine:
             workers=workers,
             engine=self.obs_label,
         ):
-            Dispatcher(workers).map(self.halves, list(distinct.values()))
+            fan_out(self.halves, distinct.values(), workers)
 
         persisted: List[str] = []
         skipped: List[str] = []

@@ -37,7 +37,8 @@ from ..hin.decomposition import decompose_adjacency
 from ..hin.graph import HeteroGraph
 from ..hin.matrices import row_normalize, safe_reciprocal
 from ..hin.metapath import MetaPath
-from .backend import materialise
+from .backend import _nbytes, materialise
+from .scope import ambient_tracker
 
 __all__ = [
     "half_reach_matrices",
@@ -133,15 +134,24 @@ def scoring_form(graph: HeteroGraph, path: MetaPath, cache=None) -> Halves:
     no further work, and scaling it by ``left_norms[rows]`` and
     ``right_norms`` rebuilds Eq. 6's raw scores.  The scoring state of
     :class:`~repro.core.measures.hetesim.HeteSimPrepared`, and what the
-    engine memoises per path.
+    engine memoises per path.  Under an ambient limit tracker the
+    deadline is checked first and the form is charged, so halves that
+    need no chain product (single factors, the edge-object split) are
+    bounded too.
     """
+    tracker = ambient_tracker()
+    if tracker is not None:
+        tracker.check_deadline()
     left, right = half_reach_matrices(graph, path, cache=cache)
     unit_left, left_norms = unit_rows(left)
     if right is left:
         unit_right, right_norms = unit_left, left_norms
     else:
         unit_right, right_norms = unit_rows(right)
-    return unit_left, unit_right.T.tocsr(), left_norms, right_norms
+    form = (unit_left, unit_right.T.tocsr(), left_norms, right_norms)
+    if tracker is not None:
+        tracker.charge(form[0].nnz + form[1].nnz, _nbytes(form))
+    return form
 
 
 def hetesim_context(graph: HeteroGraph, cache=None):

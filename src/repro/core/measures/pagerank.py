@@ -8,8 +8,9 @@ iteration itself lives here (:func:`restart_walk_scores`) and is the
 single implementation behind
 :func:`repro.baselines.pagerank.personalized_pagerank`; it checks the
 ambient :class:`~repro.runtime.limits.LimitTracker` deadline between
-iterations, so :class:`~repro.runtime.limits.ExecutionLimits` bound
-PPR the same way they bound planned matrix chains.
+iterations (:mod:`repro.core.scope`), so
+:class:`~repro.runtime.limits.ExecutionLimits` bound PPR the same way
+they bound planned matrix chains.
 
 PPR is path-blind: a query's meta path contributes only its endpoint
 types (which node starts the walk, which type is ranked), and the
@@ -33,6 +34,7 @@ from .base import (
     QueryShape,
     register_measure,
 )
+from ..scope import ambient_tracker
 from ..search import select_top_k
 
 __all__ = ["PPRMeasure", "PPRPrepared", "restart_walk_scores"]
@@ -54,10 +56,7 @@ def restart_walk_scores(
     probability distribution.  Honours the ambient execution deadline
     between iterations.
     """
-    from ...runtime.limits import current_context
-
-    context = current_context()
-    tracker = context.tracker if context is not None else None
+    tracker = ambient_tracker()
     scores = restart.copy()
     for _ in range(max_iterations):
         if tracker is not None:

@@ -26,6 +26,7 @@ from ..hin.errors import QueryError
 from ..hin.graph import HeteroGraph
 from ..hin.metapath import MetaPath
 from .hetesim import hetesim_context
+from .scope import execution_scope
 
 __all__ = [
     "select_top_k",
@@ -161,8 +162,6 @@ def _bounded(limits):
     """An execution scope enforcing ``limits`` (no-op for None)."""
     if limits is None:
         return contextlib.nullcontext()
-    from ..runtime.limits import execution_scope
-
     return execution_scope(tracker=limits.tracker())
 
 

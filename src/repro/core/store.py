@@ -14,9 +14,9 @@ crash mid-save never leaves a torn file behind; each payload's SHA-256
 is recorded in the index and verified on load
 (:class:`~repro.hin.errors.StoreIntegrityError` on mismatch); and
 transient IO errors are absorbed by a bounded retry with exponential
-backoff.  IO goes through the :mod:`repro.runtime.faults` injection
-sites ``store.read`` / ``store.write``, so all of this behaviour is
-deterministically testable.
+backoff.  IO goes through the fault sites ``store.read`` /
+``store.write`` of the ambient scope (:mod:`repro.core.scope`), so all
+of this behaviour is deterministically testable.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from scipy import sparse
 from ..hin.errors import QueryError, StoreIntegrityError
 from ..hin.graph import HeteroGraph
 from ..hin.metapath import MetaPath
-from ..runtime.faults import SITE_STORE_READ, SITE_STORE_WRITE, ambient_faults
 from .cache import PathMatrixCache
+from .scope import SITE_STORE_READ, SITE_STORE_WRITE, ambient_faults
 
 __all__ = ["MatrixStore"]
 

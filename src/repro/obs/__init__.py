@@ -10,9 +10,9 @@ into the two primitives of this package:
   halves materialisation, a batch group's GEMM, one degradation-ladder
   rung) and nests under the ambient parent span; worker threads adopt
   the submitting thread's span the same way they adopt the ambient
-  :class:`~repro.runtime.limits.ExecutionContext` (see
-  :meth:`repro.serve.dispatch.Dispatcher.map`), so one request's tree
-  stays connected across the pool.  Tracing is **off by default** and
+  :class:`~repro.core.scope.ExecutionContext` (see
+  :func:`repro.core.scope.fan_out`), so one request's tree stays
+  connected across the pool.  Tracing is **off by default** and
   the disabled fast path is a single attribute read.
 * :mod:`repro.obs.metrics` -- a process-wide
   :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges and

@@ -14,13 +14,13 @@ The design constraints, in order:
    attribute read per iteration.
 2. **Thread-propagated.**  The ambient span lives in a
    :mod:`contextvars` variable, which does not cross thread
-   boundaries.  The serving layer's
-   :class:`~repro.serve.dispatch.Dispatcher` therefore captures
-   :func:`current_span` at submit time and wraps every pooled task in
-   :func:`adopt_span` -- exactly the discipline
-   :func:`repro.runtime.limits.adopt_context` established for limits
-   and fault plans, and enforced by lint rule RPR005.  Child spans
-   started on worker threads attach to the shared parent under a lock.
+   boundaries.  The one thread fan-out,
+   :func:`repro.core.scope.fan_out`, therefore captures
+   :func:`current_span` in the calling thread and wraps every pooled
+   task in :func:`adopt_span` -- exactly the discipline
+   :func:`repro.core.scope.adopt_context` established for limits and
+   fault plans, and enforced by lint rule RPR005.  Child spans started
+   on worker threads attach to the shared parent under a lock.
 3. **Bounded.**  Completed root spans are kept in a fixed-size ring
    (:data:`ROOT_LIMIT`); a long-lived tracer never grows without
    bound.
@@ -57,8 +57,8 @@ ROOT_LIMIT = 64
 class Span:
     """One timed, attributed node of a trace tree.
 
-    Children may be appended from several threads at once (the batch
-    dispatcher fans one request's groups across a pool), so the child
+    Children may be appended from several threads at once (a warm-up
+    or a batch fans its materialisations across a pool), so the child
     list append is lock-guarded.  Attribute writes happen only from the
     owning thread (the one inside the ``with`` block) and need no lock.
     """
@@ -259,7 +259,7 @@ class Tracer:
         """Keep a completed parentless span in the bounded root ring.
 
         Spans adopted into worker threads always have an ambient parent
-        there (the dispatcher installs it), so they are attached as
+        there (``fan_out`` installs it), so they are attached as
         children and never reach this path.
         """
         with self._roots_lock:
@@ -287,7 +287,7 @@ def adopt_span(parent: Optional[Span]) -> Iterator[Optional[Span]]:
     """Install an *existing* span as this thread's ambient parent.
 
     The cross-thread propagation primitive, used exactly like
-    :func:`repro.runtime.limits.adopt_context`: the dispatcher captures
+    :func:`repro.core.scope.adopt_context`: ``fan_out`` captures
     :func:`current_span` in the submitting thread and wraps each pooled
     task in ``adopt_span(captured)``, so spans started inside workers
     attach to the same request tree.  ``adopt_span(None)`` is a no-op

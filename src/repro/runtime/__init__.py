@@ -3,10 +3,9 @@
 The robustness layer wrapped around the planner/backend of
 :mod:`repro.core`:
 
-* :class:`ExecutionLimits` / :func:`execution_scope` -- declarative
-  deadlines and nnz/byte budgets, enforced cooperatively between plan
-  steps inside :mod:`repro.core.backend`
-  (:mod:`repro.runtime.limits`);
+* :class:`ExecutionLimits` / :class:`LimitTracker` -- declarative
+  deadlines and nnz/byte budgets, enforced cooperatively inside
+  :mod:`repro.core` (:mod:`repro.runtime.limits`);
 * :class:`ResilientRuntime` / :class:`DegradedResult` -- graceful
   degradation through progressively cheaper §4.6-style strategies
   instead of crashing (:mod:`repro.runtime.resilience`);
@@ -15,14 +14,15 @@ The robustness layer wrapped around the planner/backend of
 * :func:`run_doctor` -- artefact health checks behind the
   ``repro doctor`` CLI command (:mod:`repro.runtime.doctor`).
 
-The primitive layers (limits, faults) import nothing from
-:mod:`repro.core`, so the backend can depend on them; the high-level
-layers (resilience, doctor) sit above core and are loaded lazily here
-to keep the dependency graph acyclic.
+The ambient scope those policies travel in -- :func:`execution_scope`,
+:func:`current_context`, :func:`adopt_context`, :func:`ambient_faults`
+and the ``SITE_*`` fault sites -- is defined in :mod:`repro.core.scope`,
+where it is enforced, and re-exported here.
 """
 
 from __future__ import annotations
 
+from .doctor import DoctorCheck, DoctorReport, run_doctor
 from .faults import (
     SITE_EXECUTOR_STEP,
     SITE_STORE_READ,
@@ -38,6 +38,13 @@ from .limits import (
     adopt_context,
     current_context,
     execution_scope,
+)
+from .resilience import (
+    DEFAULT_POLICY,
+    Attempt,
+    DegradedResult,
+    ResilientRuntime,
+    Strategy,
 )
 
 __all__ = [
@@ -62,36 +69,3 @@ __all__ = [
     "execution_scope",
     "run_doctor",
 ]
-
-# Lazily exported (PEP 562): these modules import repro.core, which in
-# turn imports repro.runtime.limits -- eager imports here would cycle.
-_LAZY = {
-    "Attempt": "resilience",
-    "DEFAULT_POLICY": "resilience",
-    "DegradedResult": "resilience",
-    "ResilientRuntime": "resilience",
-    "Strategy": "resilience",
-    "DoctorCheck": "doctor",
-    "DoctorReport": "doctor",
-    "run_doctor": "doctor",
-}
-
-
-def __getattr__(name: str):
-    """Resolve the lazily exported resilience/doctor symbols."""
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    from importlib import import_module
-
-    module = import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    """Advertise lazy exports alongside the eagerly bound names."""
-    return sorted(set(globals()) | set(_LAZY))

@@ -5,8 +5,9 @@ corrupted read -- are hard to reproduce from the outside and ugly to
 simulate with monkeypatching.  This module gives the backend executor
 and :class:`~repro.core.store.MatrixStore` explicit *injection points*:
 each names a site (``"executor.step"``, ``"store.read"``,
-``"store.write"``) and consults the ambient
-:class:`~repro.runtime.limits.ExecutionContext`'s :class:`FaultPlan`
+``"store.write"``; the ``SITE_*`` names of :mod:`repro.core.scope`,
+re-exported here) and consults the ambient
+:class:`~repro.core.scope.ExecutionContext`'s :class:`FaultPlan`
 every time it is reached.
 
 A :class:`FaultPlan` is a list of :class:`FaultSpec` records matched by
@@ -22,8 +23,14 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from ..core.scope import (
+    SITE_EXECUTOR_STEP,
+    SITE_STORE_READ,
+    SITE_STORE_WRITE,
+    ambient_faults,
+)
 from ..hin.errors import InjectedFaultError, QueryError
 from ..obs.metrics import REGISTRY
 
@@ -38,14 +45,8 @@ __all__ = [
     "SITE_STORE_WRITE",
     "FaultSpec",
     "FaultPlan",
+    "ambient_faults",
 ]
-
-#: Fired before every scheduled multiplication in the backend executor.
-SITE_EXECUTOR_STEP = "executor.step"
-#: Fired on every payload read in :class:`~repro.core.store.MatrixStore`.
-SITE_STORE_READ = "store.read"
-#: Fired on every payload write in :class:`~repro.core.store.MatrixStore`.
-SITE_STORE_WRITE = "store.write"
 
 _SITES = (SITE_EXECUTOR_STEP, SITE_STORE_READ, SITE_STORE_WRITE)
 _ACTIONS = ("fail", "delay", "corrupt")
@@ -120,9 +121,9 @@ class FaultPlan:
     def __init__(self, specs: Sequence[FaultSpec] = ()) -> None:
         self.specs: Tuple[FaultSpec, ...] = tuple(specs)
         self._counters: Dict[str, int] = {}
-        # Sites fire from serve worker threads too (the dispatcher
-        # shares one ambient context across the pool), so the
-        # per-site counters must advance atomically.
+        # Sites fire from worker threads too (fan_out shares one
+        # ambient context across the pool), so the per-site counters
+        # must advance atomically.
         self._counter_lock = threading.Lock()
         #: Chronological ``(site, occurrence, action)`` log of every
         #: fault that actually triggered (for test assertions).
@@ -226,17 +227,3 @@ def _flip_bytes(payload: bytes) -> bytes:
     if not payload:
         return b"\xff"
     return bytes([payload[0] ^ 0xFF]) + payload[1:]
-
-
-def ambient_faults() -> Optional[FaultPlan]:
-    """The :class:`FaultPlan` of the ambient execution scope, if any."""
-    from .limits import current_context
-
-    context = current_context()
-    if context is None:
-        return None
-    faults = context.faults
-    return faults if isinstance(faults, FaultPlan) else None
-
-
-__all__.append("ambient_faults")

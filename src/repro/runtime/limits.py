@@ -1,32 +1,35 @@
-"""Execution limits and the ambient enforcement context.
+"""Execution limits: the resource envelope of a query and its tracker.
 
 :class:`ExecutionLimits` describes the resource envelope of one query:
 a wall-clock deadline plus cumulative nnz / byte budgets and a cap on
 densified intermediates.  Limits are *declarative*; enforcement happens
-cooperatively inside :func:`repro.core.backend.materialise`, which
-consults a per-attempt :class:`LimitTracker` between chain products and
-raises the typed faults
+cooperatively inside :mod:`repro.core` (between the chain products of
+:func:`~repro.core.backend.materialise`, around each scoring form), which
+consults a per-attempt :class:`LimitTracker` and raises the typed faults
 :class:`~repro.hin.errors.DeadlineExceededError` /
 :class:`~repro.hin.errors.BudgetExceededError` on breach.
 
 The tracker (together with an optional
 :class:`~repro.runtime.faults.FaultPlan` and a truncation threshold)
-travels through the call stack as an *ambient* :class:`ExecutionContext`
-installed by :func:`execution_scope`, so high-level entry points
-(:class:`~repro.core.engine.HeteSimEngine`, the cache, the CLI) need no
-signature changes to run under limits.  Contexts are backed by
-:mod:`contextvars` and therefore thread- and task-safe.
+travels through the call stack as the ambient
+:class:`~repro.core.scope.ExecutionContext` that
+:func:`~repro.core.scope.execution_scope` installs; both are defined in
+:mod:`repro.core.scope` and re-exported here.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
-from contextvars import ContextVar
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
+from ..core.scope import (
+    ExecutionContext,
+    adopt_context,
+    current_context,
+    execution_scope,
+)
 from ..hin.errors import (
     BudgetExceededError,
     DeadlineExceededError,
@@ -163,8 +166,8 @@ class LimitTracker:
         self.bytes_charged = 0
         self.steps_executed = 0
         # Budgets are cumulative across every thread a query fans out to
-        # (repro.serve workers adopt the submitting scope's context), so
-        # the counters must tolerate concurrent charges.
+        # (repro.core.scope.fan_out workers adopt the submitting scope's
+        # context), so the counters must tolerate concurrent charges.
         self._charge_lock = threading.Lock()
 
     @property
@@ -209,88 +212,3 @@ class LimitTracker:
         if cap is not None and cells > cap:
             _LIMIT_TRIPS.labels(limit="max_densified_cells").inc()
             raise BudgetExceededError("max_densified_cells", cells, cap)
-
-
-@dataclass
-class ExecutionContext:
-    """What the backend consults while executing under a scope.
-
-    ``tracker`` enforces limits (None = unlimited), ``faults`` fires
-    deterministic test faults (None = no injection), ``truncate_eps``
-    drops post-step entries below the threshold (0 = exact execution).
-    ``truncated_mass`` accumulates the total absolute value discarded by
-    truncation -- the accuracy metadata degraded results report.
-    """
-
-    tracker: Optional[LimitTracker] = None
-    faults: Optional[object] = None
-    truncate_eps: float = 0.0
-    truncated_mass: float = field(default=0.0)
-
-
-_CONTEXT: ContextVar[Optional[ExecutionContext]] = ContextVar(
-    "repro_execution_context", default=None
-)
-
-
-def current_context() -> Optional[ExecutionContext]:
-    """The ambient :class:`ExecutionContext`, or None outside any scope."""
-    return _CONTEXT.get()
-
-
-@contextlib.contextmanager
-def execution_scope(
-    tracker: Optional[LimitTracker] = None,
-    faults: Optional[object] = None,
-    truncate_eps: float = 0.0,
-) -> Iterator[ExecutionContext]:
-    """Install an ambient execution context for the duration of a block.
-
-    Everything the block runs -- engine queries, cache materialisation,
-    store IO -- sees the context through :func:`current_context` and
-    enforces/injects accordingly.  Scopes nest; the previous context is
-    restored on exit.
-
-    Examples
-    --------
-    >>> from repro.runtime import ExecutionLimits, execution_scope
-    >>> limits = ExecutionLimits(deadline_ms=50)       # doctest: +SKIP
-    >>> with execution_scope(tracker=limits.tracker()):  # doctest: +SKIP
-    ...     engine.relevance("Tom", "KDD", "APC")
-    """
-    if truncate_eps < 0:
-        raise QueryError(f"truncate_eps must be >= 0, got {truncate_eps}")
-    context = ExecutionContext(
-        tracker=tracker, faults=faults, truncate_eps=truncate_eps
-    )
-    token = _CONTEXT.set(context)
-    try:
-        yield context
-    finally:
-        _CONTEXT.reset(token)
-
-
-@contextlib.contextmanager
-def adopt_context(
-    context: Optional[ExecutionContext],
-) -> Iterator[Optional[ExecutionContext]]:
-    """Install an *existing* :class:`ExecutionContext` in this thread.
-
-    :mod:`contextvars` values do not cross thread boundaries, so a
-    worker thread spawned mid-query starts with no ambient context --
-    limits and fault plans installed by :func:`execution_scope` in the
-    submitting thread would silently stop applying.  The serving
-    layer's :class:`~repro.serve.dispatch.Dispatcher` captures
-    :func:`current_context` at submit time and wraps every task in
-    ``adopt_context(captured)``, so the *same* tracker (shared deadline
-    and cumulative budgets) and the same :class:`FaultPlan` counters
-    keep enforcing inside the pool.
-
-    ``adopt_context(None)`` is a no-op scope, so callers need not
-    special-case "no ambient context".
-    """
-    token = _CONTEXT.set(context)
-    try:
-        yield context
-    finally:
-        _CONTEXT.reset(token)

@@ -9,13 +9,11 @@ fast under *many-query* load:
   once, score every source of a group with a single block sparse GEMM,
   and select each query's top-k without sorting the target axis
   (:mod:`repro.serve.batch`);
-* :class:`Dispatcher` -- thread-pool execution of independent
-  materialisations with ambient execution-context propagation (limits
-  and fault plans keep applying inside workers;
-  :mod:`repro.serve.dispatch`);
 * :class:`WarmReport` / :meth:`HeteSimEngine.warm
   <repro.core.engine.HeteSimEngine.warm>` -- the off-line stage as an
-  API: pre-materialise half matrices and persist them through
+  API: pre-materialise half matrices (on ``workers`` threads, through
+  :func:`repro.core.scope.fan_out`, which carries limits, fault plans
+  and spans into every worker) and persist them through
   :class:`~repro.core.store.MatrixStore`.
 
 * :class:`HttpServer` / :class:`AdmissionController` -- the network
@@ -32,6 +30,7 @@ The CLI exposes the same functionality as ``serve-warm``,
 
 from __future__ import annotations
 
+from ..core.engine import WarmReport
 from .admission import (
     Admission,
     AdmissionController,
@@ -49,7 +48,6 @@ from .batch import (
     QueryServer,
     serve_batch,
 )
-from .dispatch import Dispatcher, WarmReport
 from .http import HttpRequest, HttpResponse, HttpServer
 from .procs import usable_cpus
 
@@ -59,7 +57,6 @@ __all__ = [
     "BatchRequest",
     "BatchResult",
     "BatchStats",
-    "Dispatcher",
     "HttpRequest",
     "HttpResponse",
     "HttpServer",

@@ -14,18 +14,18 @@ should answer it; the server answers them by
    shared :class:`~repro.core.measures.base.MeasureContext` -- for
    HeteSim (and every HeteSim component of a ``combined`` query) that
    is the engine's single-flight half-matrix memo, so a mixed batch
-   materialises each path's halves once.  With ``workers > 1`` the
-   groups are prepared and scored on a thread pool; that pays only
-   when groups must materialise.  Scoring a warm group is short scipy
-   calls that hold the GIL between them: on the 2-CPU seed-1 relbench
-   reference graph a warm 64-query batch-score batch took a median
-   8.12 ms at ``workers=2`` against 3.88 ms at ``workers=1`` (6
-   interleaved rounds), and only a cold 256-query mix gained (72.3 vs
-   88.8 ms, 8 rounds), with identical rankings (ROADMAP.md, "Workers
-   parallelise materialisation, not scoring");
-3. **scoring** all of a group's distinct sources with a single block
-   pass (:meth:`~repro.core.measures.base.PreparedMeasure.score_rows`:
-   one sparse GEMM plus vectorised normalisation for HeteSim) -- one
+   materialises each path's halves once.  With ``workers > 1`` only
+   these calls fan out (:func:`~repro.core.scope.fan_out`): scoring a
+   warm group is short scipy calls that hold the GIL between them.
+   On the 2-CPU seed-1 relbench reference graph a warm 64-query
+   batch-score batch took a median 2.63 ms at ``workers=1`` and
+   4.20 ms at ``workers=2`` (4.88 ms when the pool also scored), and a
+   cold 256-query mix 63.4 vs 60.4 ms (51.6 ms when the pool also
+   scored), with identical rankings;
+3. **scoring** all of a group's distinct sources in the calling
+   thread with a single block pass
+   (:meth:`~repro.core.measures.base.PreparedMeasure.score_rows`: one
+   sparse GEMM plus vectorised normalisation for HeteSim) -- one
    matrix product instead of one product per query;
 4. **ranking** every row of the block with one
    :func:`~repro.core.search.select_top_k_rows` call per ``normalized``
@@ -53,8 +53,9 @@ from ..hin.errors import QueryError
 from ..hin.graph import HeteroGraph
 from ..hin.metapath import PathSpec
 from ..core.engine import HeteSimEngine
-from ..core.measures import Measure, QueryShape, get_measure
+from ..core.measures import Measure, PreparedMeasure, QueryShape, get_measure
 from ..core.measures.base import measure_series
+from ..core.scope import execution_scope, fan_out
 from ..core.search import select_top_k_rows
 from ..obs.metrics import (
     GROUP_SIZE_BUCKETS,
@@ -127,13 +128,13 @@ class BatchRequest:
     :class:`BatchResult` rather than raising, so callers that build
     batches from filtered inputs need no special casing.
 
-    ``workers`` bounds the pool that materialises and scores distinct
-    groups in parallel; ``workers=1`` runs everything sequentially in
-    the calling thread and is the reference semantics -- parallel runs
-    return identical results.  The pool speeds up cold batches only:
-    warm groups hold the GIL between short scipy calls, so a warm
-    batch runs slower at ``workers=2`` than at ``workers=1`` (see the
-    module docstring).
+    ``workers`` bounds the pool that prepares distinct groups (builds
+    their scoring state) in parallel; every group is then scored and
+    ranked in the calling thread.  ``workers=1`` runs everything
+    sequentially and is the reference semantics -- parallel runs
+    return identical results.  The pool can only speed up cold
+    batches: a warm batch runs slower at ``workers=2`` than at
+    ``workers=1`` (see the module docstring).
     """
 
     queries: Tuple[Query, ...]
@@ -265,15 +266,11 @@ class QueryServer:
         a breach raises the typed
         :class:`~repro.hin.errors.ResourceLimitError` faults.  Without
         ``limits`` the batch still honours any ambient
-        :func:`~repro.runtime.limits.execution_scope`.
+        :func:`~repro.core.scope.execution_scope`.
         """
         if limits is not None:
-            from ..runtime.limits import execution_scope
-
             with execution_scope(tracker=limits.tracker()):
                 return self.run(request)
-
-        from .dispatch import Dispatcher
 
         started = time.perf_counter()
         groups = self._group(request.queries)
@@ -284,6 +281,7 @@ class QueryServer:
             measure_series(_BATCH_GROUPS, name).inc()
             measure_series(_GROUP_SIZES, name).observe(len(group.members))
         before = self.engine.materialisation_count
+        ctx = self.engine.measures
         with trace_span(
             "batch.run",
             queries=len(request.queries),
@@ -291,9 +289,15 @@ class QueryServer:
             workers=request.workers,
             resolve_ms=round(resolve_seconds * 1e3, 3),
         ):
-            rankings_per_group = Dispatcher(request.workers).map(
-                self._score_group, groups
+            prepared = fan_out(
+                lambda group: group.measure.prepare(ctx, group.spec),
+                groups,
+                request.workers,
             )
+            rankings_per_group = [
+                self._score_group(group, state)
+                for group, state in zip(groups, prepared)
+            ]
         materialised = self.engine.materialisation_count - before
 
         results: List[Optional[QueryResult]] = [None] * len(
@@ -367,7 +371,7 @@ class QueryServer:
         return list(groups.values())
 
     def _score_group(
-        self, group: _Group
+        self, group: _Group, prepared: PreparedMeasure
     ) -> List[Tuple[Tuple[str, float], ...]]:
         """One block scoring pass for all of a group's sources, then
         one block ranking pass per ``normalized`` flag."""
@@ -377,9 +381,6 @@ class QueryServer:
             path=group.shape.display,
             size=len(group.members),
         ) as group_span:
-            prepared = group.measure.prepare(
-                self.engine.measures, group.spec
-            )
             rows = sorted({row for _, _, row in group.members})
             flags = sorted(
                 {query.normalized for _, query, _ in group.members}

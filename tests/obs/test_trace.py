@@ -17,7 +17,6 @@ from repro.obs.trace import (
     adopt_span,
     current_span,
 )
-from repro.serve import Dispatcher
 
 
 class TestDisabledTracer:
@@ -123,24 +122,3 @@ class TestThreadPropagation:
     def test_adopt_none_is_noop_scope(self):
         with adopt_span(None):
             assert current_span() is None
-
-    def test_dispatcher_attaches_worker_spans_to_submitting_tree(self):
-        # The RPR005 discipline, applied to spans: the dispatcher
-        # captures current_span() at submit time and adopts it inside
-        # every pooled worker, so spans started on worker threads nest
-        # under the submitting request's tree.
-        tracer = Tracer(enabled=True)
-
-        def task(item):
-            with tracer.span("worker", item=item):
-                return item
-
-        with tracer.span("request") as root:
-            Dispatcher(workers=4).map(task, list(range(8)))
-        assert sorted(
-            child.attributes["item"] for child in root.children
-        ) == list(range(8))
-        assert all(child.name == "worker" for child in root.children)
-        # Worker spans were adopted as children, never retained as
-        # roots of their own.
-        assert tracer.roots == [root]

@@ -199,6 +199,33 @@ class TestBudgetDegradation:
         assert excinfo.value.allowed == 1
 
 
+class TestHalvesWithoutChainProduct:
+    """Halves that need no chain product -- single factors (APC's AP
+    and CP) or the edge-object split (AP, PC) -- are still bounded:
+    the scoring form checks the deadline and is charged its bytes."""
+
+    def test_one_byte_budget_trips_single_factor_halves(self, fig4):
+        result = HeteSimEngine(fig4).runtime(
+            ExecutionLimits(max_bytes=1)
+        ).top_k("Tom", "APC")
+        assert result.degraded
+        assert result.tripped == "max_bytes"
+        assert result.strategy == "truncate-final"
+
+    @pytest.mark.parametrize(
+        "source, path", [("Tom", "AP"), ("p1", "PC")]
+    )
+    def test_zero_deadline_trips_edge_object_halves(
+        self, fig4, source, path
+    ):
+        result = HeteSimEngine(fig4).runtime(
+            ExecutionLimits(deadline_ms=0)
+        ).top_k(source, path)
+        assert result.degraded
+        assert result.tripped == "deadline"
+        assert result.strategy == "truncate-final"
+
+
 class TestAccuracyMetadata:
     def test_truncation_floor_reports_truncated_mass(self, fig4):
         policy = (

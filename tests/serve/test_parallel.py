@@ -14,7 +14,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.cache import _nbytes
+from repro.core.backend import _nbytes
 from repro.core.engine import HeteSimEngine
 from repro.datasets.random_hin import make_random_hin
 from repro.hin.errors import (
@@ -81,6 +81,25 @@ class TestDeterminism:
             BatchRequest(queries, workers=8)
         )
         assert first.results == second.results
+
+
+class TestScoringThread:
+    def test_groups_score_on_the_calling_thread(self, hin):
+        """``workers`` fans out only the groups' ``prepare`` calls;
+        every group is scored and ranked on the thread that called
+        ``run``."""
+        threads = []
+
+        class RecordingServer(QueryServer):
+            def _score_group(self, group, prepared):
+                threads.append(threading.get_ident())
+                return super()._score_group(group, prepared)
+
+        result = RecordingServer(HeteSimEngine(hin)).run(
+            BatchRequest(_queries(hin), workers=8)
+        )
+        assert len(threads) == result.stats.num_groups == 3
+        assert set(threads) == {threading.get_ident()}
 
 
 class TestLimitsInWorkers:
